@@ -204,6 +204,15 @@ impl PowerView {
     }
 }
 
+/// One blended element: `α · m/scale + (1-α) · (1 - exp(-λ|i-j|))`.
+///
+/// Shared by the one-buffer build and [`blend_spacing`], so both produce
+/// the same bits for the same `(m, i, j)`.
+fn blended(m: f64, i: usize, j: usize, scale: f64, alpha: f64, lambda: f64) -> f64 {
+    let spacing = 1.0 - (-lambda * (i as f64 - j as f64).abs()).exp();
+    alpha * m / scale + (1.0 - alpha) * spacing
+}
+
 /// Blends a raw Mahalanobis matrix with the operator-spacing term:
 /// `α · d/scale + (1-α) · (1 - exp(-λ|i-j|))`, zero diagonal.
 fn blend_spacing(d: &Matrix, d_max: f64, alpha: f64, lambda: f64) -> Matrix {
@@ -212,14 +221,27 @@ fn blend_spacing(d: &Matrix, d_max: f64, alpha: f64, lambda: f64) -> Matrix {
     let mut out = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
-            if i == j {
-                continue;
+            if i != j {
+                out[(i, j)] = blended(d[(i, j)], i, j, scale, alpha, lambda);
             }
-            let spacing = 1.0 - (-lambda * (i as f64 - j as f64).abs()).exp();
-            out[(i, j)] = alpha * d[(i, j)] / scale + (1.0 - alpha) * spacing;
         }
     }
     out
+}
+
+/// Whitened Euclidean distances over the scaled feature rows, as
+/// upper-triangle rows: row `i` holds the distances to `j` in `(i+1)..n`.
+/// The rows are independent work units fanned out over the thread pool.
+fn whitened_upper_triangle(features: &Matrix) -> Result<Vec<Vec<f64>>, NumericError> {
+    let x = Scaler::fit(features)?.transform(features)?;
+    let cov = covariance(&x)?;
+    let z = Whitener::from_covariance(&cov)?.whiten(&x)?;
+    let n = z.rows();
+    Ok(par::map_range(n, 0, |i| {
+        ((i + 1)..n)
+            .map(|j| euclidean(z.row(i), z.row(j)))
+            .collect()
+    }))
 }
 
 /// Computes the blended power-distance matrix (Algorithm 1 lines 1-12):
@@ -244,28 +266,21 @@ pub fn power_distance_matrix(
     lambda: f64,
 ) -> Result<Matrix, NumericError> {
     let started = Instant::now();
-    let x = Scaler::fit(features)?.transform(features)?;
-    let cov = covariance(&x)?;
-    let z = Whitener::from_covariance(&cov)?.whiten(&x)?;
-    let n = z.rows();
-    // Upper-triangle rows are independent work units; row i holds the
-    // distances to j in (i+1)..n.
-    let tri: Vec<Vec<f64>> = par::map_range(n, 0, |i| {
-        ((i + 1)..n)
-            .map(|j| euclidean(z.row(i), z.row(j)))
-            .collect()
-    });
-    let mut d = Matrix::zeros(n, n);
-    let mut d_max: f64 = 0.0;
-    for (i, row) in tri.iter().enumerate() {
-        for (off, &m) in row.iter().enumerate() {
+    let tri = whitened_upper_triangle(features)?;
+    let n = tri.len();
+    let d_max = tri.iter().flatten().fold(0.0f64, |acc, &m| acc.max(m));
+    let scale = if d_max > 0.0 { d_max } else { 1.0 };
+    // Each blended value goes straight into its two symmetric slots: the
+    // only n×n buffer is the result.
+    let mut out = Matrix::zeros(n, n);
+    for (i, row) in tri.into_iter().enumerate() {
+        for (off, m) in row.into_iter().enumerate() {
             let j = i + 1 + off;
-            d[(i, j)] = m;
-            d[(j, i)] = m;
-            d_max = d_max.max(m);
+            let v = blended(m, i, j, scale, alpha, lambda);
+            out[(i, j)] = v;
+            out[(j, i)] = v;
         }
     }
-    let out = blend_spacing(&d, d_max, alpha, lambda);
     if obs::enabled() {
         obs::histogram("cluster.distance_ms", started.elapsed().as_secs_f64() * 1e3);
     }
@@ -919,6 +934,40 @@ mod tests {
             assert_eq!(d[(i, i)], 0.0);
         }
         assert!(d.all_finite());
+    }
+
+    #[test]
+    fn one_buffer_build_is_bit_identical_to_the_two_buffer_blend() {
+        // The two-buffer construction: a raw symmetric Mahalanobis matrix
+        // with its max, then `blend_spacing` into a second matrix.
+        let two_buffer = |x: &Matrix, alpha: f64, lambda: f64| {
+            let tri = whitened_upper_triangle(x).unwrap();
+            let n = tri.len();
+            let mut d = Matrix::zeros(n, n);
+            let mut d_max: f64 = 0.0;
+            for (i, row) in tri.iter().enumerate() {
+                for (off, &m) in row.iter().enumerate() {
+                    let j = i + 1 + off;
+                    d[(i, j)] = m;
+                    d[(j, i)] = m;
+                    d_max = d_max.max(m);
+                }
+            }
+            blend_spacing(&d, d_max, alpha, lambda)
+        };
+        let p = ClusterParams::default();
+        for (name, build) in zoo::all_models() {
+            let raw = powerlens_features::depthwise_features(&build());
+            let smoothed = smooth_features(&raw, p.smooth_radius);
+            for (x, alpha, lambda) in [(&smoothed, p.alpha, p.lambda), (&raw, 0.3, 0.25)] {
+                let got = power_distance_matrix(x, alpha, lambda).unwrap();
+                let want = two_buffer(x, alpha, lambda);
+                assert_eq!(got.rows(), want.rows(), "{name}");
+                for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{name} element {k}: {g} vs {w}");
+                }
+            }
+        }
     }
 
     #[test]

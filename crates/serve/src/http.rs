@@ -7,6 +7,7 @@
 //! concurrency story identical to its queue semantics (one queued item per
 //! connection).
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -27,6 +28,10 @@ pub struct Request {
 }
 
 /// Reads one HTTP/1.1 request from `stream`.
+///
+/// The head is read in 1 KiB chunks; whatever the last chunk held past the
+/// head starts the body, and the rest of the body is read in one
+/// `read_exact` into a buffer sized from `Content-Length`.
 ///
 /// # Errors
 ///
@@ -79,28 +84,23 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     }
 
     let body_start = head_end + 4; // past "\r\n\r\n"
-    let mut body = buf[body_start.min(buf.len())..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let early = &buf[body_start.min(buf.len())..];
+    let early = &early[..early.len().min(content_length)];
+    let mut body = vec![0u8; content_length];
+    body[..early.len()].copy_from_slice(early);
+    stream.read_exact(&mut body[early.len()..])?;
 
     Ok(Request {
         method: method.to_ascii_uppercase(),
         path: path.to_string(),
-        body: String::from_utf8_lossy(&body).into_owned(),
+        body: String::from_utf8(body)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
     })
 }
 
-/// Writes one response and flushes it. The connection is always announced
-/// as `Connection: close`; the caller drops the stream afterwards.
+/// Writes one response — head and body in a single write — and flushes
+/// it. The connection is always announced as `Connection: close`; the
+/// caller drops the stream afterwards.
 ///
 /// # Errors
 ///
@@ -112,13 +112,15 @@ pub fn write_response(
     body: &str,
 ) -> io::Result<()> {
     let reason = reason_phrase(status);
-    let head = format!(
+    let mut message = String::with_capacity(128 + body.len());
+    let _ = write!(
+        message,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -217,18 +219,72 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[test]
-    fn oversized_content_length_is_rejected() {
+    /// Sends `raw` to a fresh listener in writes of at most `piece` bytes
+    /// and returns what `read_request` made of it.
+    fn read_sent(raw: &[u8], piece: usize) -> io::Result<Request> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream).unwrap_err()
+            read_request(&mut stream)
         });
         let mut c = TcpStream::connect(addr).unwrap();
-        c.write_all(b"POST /plan HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n")
-            .unwrap();
-        let err = server.join().unwrap();
+        c.set_nodelay(true).unwrap();
+        for part in raw.chunks(piece) {
+            c.write_all(part).unwrap();
+            c.flush().unwrap();
+        }
+        // The peer may already have given up and closed; the half-close
+        // only matters to a reader still waiting for body bytes.
+        let _ = c.shutdown(std::net::Shutdown::Write);
+        server.join().unwrap()
+    }
+
+    fn post(body: &[u8], content_length: usize) -> Vec<u8> {
+        let mut raw =
+            format!("POST /plan HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n").into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    #[test]
+    fn body_split_across_many_small_writes_is_reassembled() {
+        let body: String = (0..3000u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let req = read_sent(&post(body.as_bytes(), body.len()), 7).unwrap();
+        assert_eq!(req.body, body);
+    }
+
+    #[test]
+    fn body_in_the_same_segment_as_the_head_is_read() {
+        let short = r#"{"model":"alexnet"}"#;
+        let long = "x".repeat(5000);
+        let cases = [
+            // A body inside the first head chunk, and one that overruns it.
+            (post(short.as_bytes(), short.len()), short),
+            (post(long.as_bytes(), long.len()), long.as_str()),
+            // Bytes past Content-Length are not part of the body.
+            (post(b"abcdef", 3), "abc"),
+            // Invalid UTF-8 falls back to the lossy decode.
+            (post(b"ok\xffok", 5), "ok\u{fffd}ok"),
+        ];
+        for (raw, want) in &cases {
+            assert_eq!(read_sent(raw, raw.len()).unwrap().body, *want);
+        }
+    }
+
+    #[test]
+    fn short_body_is_an_unexpected_eof() {
+        let raw = post(b"abc", 10);
+        let err = read_sent(&raw, raw.len()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn oversized_content_length_is_rejected() {
+        let raw = post(b"", 99_999_999);
+        let err = read_sent(&raw, raw.len()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

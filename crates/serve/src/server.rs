@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -117,6 +117,21 @@ struct Shared {
     degraded: AtomicU64,
 }
 
+impl Shared {
+    /// Raises the shutdown flag and wakes every idle worker. The flag is
+    /// set under the queue lock, so a worker between its flag check and
+    /// its wait cannot miss the wake-up.
+    fn begin_shutdown(&self) {
+        let queue = self
+            .queue
+            .lock()
+            .expect("a worker panicked holding the queue");
+        self.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
+        self.available.notify_all();
+    }
+}
+
 impl Server {
     /// Binds the listener and builds the shared plan store.
     ///
@@ -174,8 +189,11 @@ impl Server {
     /// Serves until a `POST /shutdown` arrives, then drains the queue and
     /// returns the final tallies.
     ///
-    /// The accept loop sheds connections with `429` once the queue is
-    /// full; queued connections are handled by `cfg.workers` threads.
+    /// The accept loop blocks in `accept` and sheds connections with `429`
+    /// once the queue is full; queued connections are handled by
+    /// `cfg.workers` threads. `POST /shutdown` wakes the accept loop by
+    /// connecting to the listener itself; connections accepted after the
+    /// shutdown flag is up are closed unanswered.
     ///
     /// # Errors
     ///
@@ -193,34 +211,24 @@ impl Server {
             rejected: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
         };
-        self.listener.set_nonblocking(true)?;
 
         thread::scope(|scope| -> io::Result<()> {
             for _ in 0..workers {
                 scope.spawn(|| self.worker_loop(&shared));
             }
-            // Accept loop. Nonblocking so the shutdown flag is observed
-            // promptly even when no clients connect.
-            loop {
+            // Accept loop. `accept` blocks; `/shutdown` raises the flag and
+            // then connects here to wake it (`wake_accept`).
+            let accepted = loop {
                 match self.listener.accept() {
+                    Ok(_) if shared.shutdown.load(Ordering::SeqCst) => break Ok(()),
                     Ok((stream, _)) => self.admit(stream, &shared),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        shared.available.notify_all();
-                        return Err(e);
-                    }
+                    Err(e) => break Err(e),
                 }
-            }
+            };
             // Idle drain: workers finish the queue, then observe the flag
             // and exit; the scope joins them.
-            shared.available.notify_all();
-            Ok(())
+            shared.begin_shutdown();
+            accepted
         })?;
 
         Ok(ServeReport {
@@ -230,11 +238,24 @@ impl Server {
         })
     }
 
+    /// Wakes the blocking `accept` in [`Server::run`] by connecting to the
+    /// listener's own address — loopback when it is bound to `0.0.0.0` or
+    /// `::`. The connection is dropped at once; the accept loop sees the
+    /// shutdown flag and closes it unread.
+    fn wake_accept(&self) {
+        let Ok(mut addr) = self.listener.local_addr() else {
+            return;
+        };
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        let _ = TcpStream::connect_timeout(&addr, IO_TIMEOUT);
+    }
+
     /// Queues a connection, or sheds it with `429` when the queue is full.
     fn admit(&self, mut stream: TcpStream, shared: &Shared) {
-        // Accepted sockets inherit the listener's nonblocking mode on some
-        // platforms; the workers want plain blocking reads with timeouts.
-        let _ = stream.set_nonblocking(false);
         let mut q = shared.queue.lock().unwrap();
         if q.len() >= self.cfg.queue_depth {
             drop(q);
@@ -274,11 +295,10 @@ impl Server {
                     if shared.shutdown.load(Ordering::SeqCst) {
                         break None;
                     }
-                    let (guard, _) = shared
+                    q = shared
                         .available
-                        .wait_timeout(q, Duration::from_millis(50))
-                        .unwrap();
-                    q = guard;
+                        .wait(q)
+                        .expect("a worker panicked holding the queue");
                 }
             };
             let Some(mut stream) = stream else { return };
@@ -314,8 +334,8 @@ impl Server {
                 write_response(stream, 200, "text/plain; charset=utf-8", &body)
             }
             ("POST", "/shutdown") => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                shared.begin_shutdown();
+                self.wake_accept();
                 json_response(stream, 200, &ok_body())
             }
             ("POST", "/plan") => self.endpoint_plan(stream, &req.body, shared),

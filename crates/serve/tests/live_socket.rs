@@ -5,8 +5,10 @@
 //! so all counter assertions here are on *deltas* between two `/metrics`
 //! scrapes, never on absolute values.
 
+use std::net::{Ipv4Addr, SocketAddr};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use powerlens_serve::http::request;
 use powerlens_serve::{ServeConfig, ServeReport, Server};
@@ -282,4 +284,34 @@ fn overload_degrades_or_sheds_instead_of_hanging() {
         "shed responses and the report must agree"
     );
     assert!(report.degraded >= degraded.min(1));
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_without_other_traffic() {
+    // 0.0.0.0 is not a portable destination, so a wildcard bind must
+    // wake its accept loop through loopback.
+    for bind in ["127.0.0.1", "0.0.0.0"] {
+        let server = Server::bind(ServeConfig {
+            addr: bind.to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut addr: SocketAddr = server.local_addr().parse().unwrap();
+        addr.set_ip(Ipv4Addr::LOCALHOST.into());
+        let (done, finished) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            let report = server.run();
+            let _ = done.send(());
+            report
+        });
+
+        let (status, _) = request(&addr.to_string(), "POST", "/shutdown", "").unwrap();
+        assert_eq!(status, 200);
+        finished
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("run did not return within 2 s of /shutdown on {bind}"));
+        let report = handle.join().unwrap().expect("run");
+        assert_eq!(report.requests, 1, "only the /shutdown request was served");
+    }
 }

@@ -107,6 +107,13 @@ case "$metrics" in
 esac
 curl -sf -X POST "http://$addr/shutdown" > /dev/null \
     || serve_fail "POST /shutdown failed"
+# A missed accept wake would hang a bare `wait`: give the daemon 5 s.
+for _ in $(seq 1 50); do
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+done
+kill -0 "$serve_pid" 2>/dev/null \
+    && serve_fail "daemon still running 5 s after POST /shutdown"
 wait "$serve_pid" || serve_fail "daemon exited non-zero"
 rm -f "$serve_log"
 echo "serve smoke: plan + metrics + shutdown ok on $addr"
