@@ -13,7 +13,7 @@ use powerlens_lint::{
 };
 use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
 use powerlens_sim::{Engine, StaticController};
-use powerlens_store::{lint_cache_key, LintCache};
+use powerlens_store::{lint_cache_key, CacheMode, LintCache};
 use std::hint::black_box;
 
 /// The three packs in isolation, on the largest zoo model.
@@ -88,7 +88,9 @@ fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("lint_cache");
     group.sample_size(10);
     group.bench_function("cold_resnet152", |b| b.iter(full_lint));
-    let cache = LintCache::mem_only();
+    let cache = LintCache::open(CacheMode::Mem, 1, None)
+        .unwrap()
+        .expect("mem mode opens a cache");
     let key = lint_cache_key(&g, &agx, 8);
     cache.put(key, &[full_lint()]);
     group.bench_function("warm_resnet152", |b| {

@@ -191,12 +191,20 @@ fn fault_plan_for(
     Ok(Some(plan))
 }
 
+/// Memory-tier capacity of the CLI's plan store and lint cache.
+const STORE_CAPACITY: usize = 128;
+
+/// The cache mode `--cache` names.
+fn cache_mode(opts: &Options) -> Result<CacheMode, Box<dyn Error>> {
+    CacheMode::parse(&opts.cache)
+        .ok_or_else(|| format!("unknown cache mode {:?}", opts.cache).into())
+}
+
 /// Builds the plan store described by `--cache` / `--cache-dir`.
 fn store_for(opts: &Options) -> Result<PlanStore, Box<dyn Error>> {
-    let mode = CacheMode::parse(&opts.cache)
-        .ok_or_else(|| format!("unknown cache mode {:?}", opts.cache))?;
-    let dir = (mode == CacheMode::Disk).then(|| Path::new(&opts.cache_dir));
-    Ok(PlanStore::new(mode, 128, dir)?)
+    let mode = cache_mode(opts)?;
+    let dir = Path::new(&opts.cache_dir);
+    Ok(PlanStore::new(mode, STORE_CAPACITY, Some(dir))?)
 }
 
 /// Plans `graph` through the configured cache (model-driven when models are
@@ -849,13 +857,8 @@ fn lint_cmd(model: Option<&str>, opts: &Options) -> CliResult {
         (None, Some(path)) => vec![import_gated(path)?],
         (None, None) => zoo::all_models().iter().map(|(_, build)| build()).collect(),
     };
-    let cache = match opts.cache.as_str() {
-        "mem" => Some(LintCache::mem_only()),
-        "disk" => Some(LintCache::with_disk(
-            &Path::new(&opts.cache_dir).join("lint"),
-        )?),
-        _ => None,
-    };
+    let mode = cache_mode(opts)?;
+    let cache = LintCache::open(mode, STORE_CAPACITY, Some(Path::new(&opts.cache_dir)))?;
 
     let mut reports = Vec::new();
     for g in &targets {

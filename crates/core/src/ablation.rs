@@ -14,8 +14,7 @@ use rand::SeedableRng;
 
 use powerlens_cluster::{PowerBlock, PowerView};
 use powerlens_dnn::Graph;
-use powerlens_sim::InstrumentationPlan;
-use powerlens_sim::InstrumentationPoint;
+use powerlens_platform::{InstrumentationPlan, InstrumentationPoint};
 
 use crate::PowerLens;
 

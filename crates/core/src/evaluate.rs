@@ -1,6 +1,5 @@
 use powerlens_dnn::Graph;
-use powerlens_platform::{FreqLevel, Platform};
-use powerlens_sim::{InstrumentationPlan, InstrumentationPoint};
+use powerlens_platform::{FreqLevel, InstrumentationPlan, InstrumentationPoint, Platform};
 
 /// Analytic quality estimate of an instrumentation plan.
 ///

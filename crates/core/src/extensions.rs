@@ -12,8 +12,7 @@
 //! exercised by `cargo run -p powerlens-bench --bin extensions`.
 
 use powerlens_dnn::Graph;
-use powerlens_platform::FreqLevel;
-use powerlens_sim::{InstrumentationPlan, InstrumentationPoint};
+use powerlens_platform::{FreqLevel, InstrumentationPlan, InstrumentationPoint};
 
 use crate::{evaluate_plan, PlanEval, PlanOutcome, PowerLens, PowerLensError};
 

@@ -64,4 +64,5 @@ pub use training::TrainedModels;
 // Re-export the pieces users compose with, so `powerlens` works as a
 // one-stop dependency.
 pub use powerlens_cluster::{ClusterParams, PowerBlock, PowerView};
-pub use powerlens_sim::{InstrumentationPlan, InstrumentationPoint, PlanController};
+pub use powerlens_platform::{InstrumentationPlan, InstrumentationPoint};
+pub use powerlens_sim::PlanController;

@@ -1,8 +1,8 @@
 use std::collections::HashMap;
 
 use powerlens_dnn::{Graph, LayerId};
-use powerlens_platform::{FreqLevel, Telemetry};
-use powerlens_sim::{Controller, FreqRequest, InstrumentationPlan, PlanController};
+use powerlens_platform::{FreqLevel, InstrumentationPlan, Telemetry};
+use powerlens_sim::{Controller, FreqRequest, PlanController};
 
 /// Executes per-model instrumentation plans across a task flow (§3.2.2):
 /// when a new task starts, the controller switches to the plan prepared

@@ -8,8 +8,7 @@ use powerlens_features::GlobalFeatures;
 use powerlens_governors::oracle;
 use powerlens_numeric::NumericError;
 use powerlens_obs as obs;
-use powerlens_platform::{FreqLevel, Platform};
-use powerlens_sim::{InstrumentationPlan, InstrumentationPoint};
+use powerlens_platform::{FreqLevel, InstrumentationPlan, InstrumentationPoint, Platform};
 
 use crate::{evaluate_plan, SchemeSpace, TrainedModels};
 

@@ -8,8 +8,8 @@
 use powerlens_dnn::zoo;
 use powerlens_faults::FaultPlan;
 use powerlens_governors::{oracle, Bim};
-use powerlens_platform::Platform;
-use powerlens_sim::{Degraded, Engine, InstrumentationPlan, InstrumentationPoint, PlanController};
+use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
+use powerlens_sim::{Degraded, Engine, PlanController};
 
 /// EE floor relative to BiM under identical faults. The wrapper spends its
 /// pre-trip phase open-loop at the (possibly wrong) planned levels, so a

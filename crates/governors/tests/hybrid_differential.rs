@@ -19,10 +19,8 @@ use powerlens_dnn::{zoo, Graph};
 use powerlens_faults::FaultPlan;
 use powerlens_governors::{oracle, Bim, HybridConfig, HybridGovernor};
 use powerlens_lint::{lint_hybrid, HybridContext, LintConfig};
-use powerlens_platform::Platform;
-use powerlens_sim::{
-    run_taskflow, Engine, InstrumentationPlan, InstrumentationPoint, PlanController, TaskSpec,
-};
+use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
+use powerlens_sim::{run_taskflow, Engine, PlanController, TaskSpec};
 
 /// EE floor relative to BiM under identical faults (same constant as the
 /// degradation sweep: the pre-trip transient costs a little).

@@ -1270,6 +1270,15 @@ mod tests {
             .into_iter()
             .map(String::from),
         );
+        // An unknown key nested up to and past the JSON depth bound (the
+        // root object is one more level): both draw the line at 128.
+        for depth in [127, 128, 1_000, 10_000] {
+            corpus.push(format!(
+                r#"{{"schema_version": 1, "name": "m", "deep": {}{}, "input": {{"kind": "flat", "dims": [8]}}, "nodes": [{{"op": "add"}}]}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            ));
+        }
         for text in &corpus {
             let streamed = import_str(text);
             let walked = match serde_json::from_str::<Value>(text) {

@@ -27,17 +27,16 @@
 //!
 //! The grammar accepted is byte-for-byte the one the vendored
 //! `serde_json` parser accepts (same lenient number scan, same escape
-//! set, same surrogate handling), with one deliberate exception: nesting
-//! deeper than [`MAX_DEPTH`] levels is refused up front instead of
-//! recursing unboundedly — manifests are a few levels deep, and this
-//! reader handles untrusted input.
+//! set, same surrogate handling, same [`MAX_DEPTH`] nesting bound).
 
 use std::borrow::Cow;
 
 use crate::{check_version, shape_from_parts, AttrVal, Attrs, IngestError, RawManifest, RawNode};
 use powerlens_dnn::TensorShape;
 
-/// Nesting levels a manifest may use. Real manifests use about six.
+/// Nesting levels of arrays and objects a manifest may use, counted from
+/// the document root as the vendored `serde_json` parser counts them. Real
+/// manifests use about six.
 const MAX_DEPTH: usize = 128;
 
 fn schema(msg: impl Into<String>) -> IngestError {
@@ -51,7 +50,7 @@ pub(crate) fn read_manifest(text: &str) -> Result<RawManifest<'_>, IngestError> 
     if s.peek() != Some(b'{') {
         // Still a potentially valid JSON document; JSON errors outrank the
         // "must be an object" objection, so tokenize it fully first.
-        let kind = s.skip_value(0)?;
+        let kind = s.skip_value()?;
         s.finish()?;
         return Err(schema(format!("manifest must be an object, got {kind}")));
     }
@@ -74,7 +73,7 @@ pub(crate) fn read_manifest(text: &str) -> Result<RawManifest<'_>, IngestError> 
             "schema_version" if version.is_none() => {
                 version = Some(match s.peek() {
                     Some(b'-' | b'0'..=b'9') => Ok(s.parse_number()?),
-                    _ => Err(s.skip_value(0)?),
+                    _ => Err(s.skip_value()?),
                 });
             }
             "name" if name.is_none() => {
@@ -91,7 +90,7 @@ pub(crate) fn read_manifest(text: &str) -> Result<RawManifest<'_>, IngestError> 
                 skip_edges = s.parse_skip_edges()?;
             }
             _ => {
-                s.skip_value(0)?;
+                s.skip_value()?;
             }
         }
         Ok(())
@@ -130,6 +129,8 @@ struct Scan<'a> {
     /// First schema objection found mid-scan; reported only after the
     /// whole document parses and the version gate passes.
     deferred: Option<IngestError>,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Scan<'a> {
@@ -139,6 +140,7 @@ impl<'a> Scan<'a> {
             bytes: text.as_bytes(),
             pos: 0,
             deferred: None,
+            depth: 0,
         }
     }
 
@@ -187,15 +189,32 @@ impl<'a> Scan<'a> {
         Ok(())
     }
 
+    /// Enters the array or object whose opening bracket was just
+    /// consumed, refusing to nest deeper than [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), IngestError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consumes the closing bracket of the innermost open container.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
     /// Runs `each` once per key/value entry of the object whose `{` was
     /// just consumed. `each` must consume the key, the `:` and the value.
     fn in_object(
         &mut self,
         mut each: impl FnMut(&mut Self) -> Result<(), IngestError>,
     ) -> Result<(), IngestError> {
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.close();
             return Ok(());
         }
         loop {
@@ -205,7 +224,7 @@ impl<'a> Scan<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
@@ -219,9 +238,10 @@ impl<'a> Scan<'a> {
         &mut self,
         mut each: impl FnMut(&mut Self, usize) -> Result<(), IngestError>,
     ) -> Result<(), IngestError> {
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.close();
             return Ok(());
         }
         let mut i = 0;
@@ -233,7 +253,7 @@ impl<'a> Scan<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `]`")),
@@ -243,10 +263,7 @@ impl<'a> Scan<'a> {
 
     /// Validates and consumes one JSON value of any shape, returning its
     /// kind (the same nouns `Value::kind` uses, for "got {kind}" messages).
-    fn skip_value(&mut self, depth: usize) -> Result<&'static str, IngestError> {
-        if depth >= MAX_DEPTH {
-            return Err(self.err("nesting deeper than 128 levels"));
-        }
+    fn skip_value(&mut self) -> Result<&'static str, IngestError> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') => {
@@ -280,7 +297,7 @@ impl<'a> Scan<'a> {
             }
             Some(b'[') => {
                 self.pos += 1;
-                self.in_array(|s, _| s.skip_value(depth + 1).map(|_| ()))?;
+                self.in_array(|s, _| s.skip_value().map(|_| ()))?;
                 Ok("array")
             }
             Some(b'{') => {
@@ -289,7 +306,7 @@ impl<'a> Scan<'a> {
                     s.parse_string()?;
                     s.skip_ws();
                     s.expect(b':')?;
-                    s.skip_value(depth + 1).map(|_| ())
+                    s.skip_value().map(|_| ())
                 })?;
                 Ok("object")
             }
@@ -444,7 +461,7 @@ impl<'a> Scan<'a> {
         match self.peek() {
             Some(b'"') => self.parse_string().map(Some),
             _ => {
-                let kind = self.skip_value(0)?;
+                let kind = self.skip_value()?;
                 self.defer(schema(format!("{} must be a string, got {kind}", what())));
                 Ok(None)
             }
@@ -459,7 +476,7 @@ impl<'a> Scan<'a> {
         match self.peek() {
             Some(b'-' | b'0'..=b'9') => self.parse_number().map(Some),
             _ => {
-                let kind = self.skip_value(0)?;
+                let kind = self.skip_value()?;
                 self.defer(schema(format!("{} must be a number, got {kind}", what())));
                 Ok(None)
             }
@@ -491,7 +508,7 @@ impl<'a> Scan<'a> {
         what: &dyn Fn() -> String,
     ) -> Result<Option<TensorShape>, IngestError> {
         if self.peek() != Some(b'{') {
-            let kind = self.skip_value(0)?;
+            let kind = self.skip_value()?;
             self.defer(schema(format!("{} must be an object, got {kind}", what())));
             return Ok(None);
         }
@@ -509,7 +526,7 @@ impl<'a> Scan<'a> {
                 }
                 "dims" if dims.is_none() => {
                     if s.peek() != Some(b'[') {
-                        let k = s.skip_value(0)?;
+                        let k = s.skip_value()?;
                         s.defer(schema(format!("{}.dims must be an array, got {k}", what())));
                         return Ok(());
                     }
@@ -533,7 +550,7 @@ impl<'a> Scan<'a> {
                     dims = Some(ds);
                 }
                 _ => {
-                    s.skip_value(0)?;
+                    s.skip_value()?;
                 }
             }
             Ok(())
@@ -561,7 +578,7 @@ impl<'a> Scan<'a> {
     /// The manifest's `nodes` array.
     fn parse_nodes(&mut self) -> Result<Option<Vec<RawNode<'a>>>, IngestError> {
         if self.peek() != Some(b'[') {
-            let kind = self.skip_value(0)?;
+            let kind = self.skip_value()?;
             self.defer(schema(format!(
                 "manifest.nodes must be an array, got {kind}"
             )));
@@ -588,7 +605,7 @@ impl<'a> Scan<'a> {
             input: None,
         };
         if self.peek() != Some(b'{') {
-            let kind = self.skip_value(0)?;
+            let kind = self.skip_value()?;
             self.defer(schema(format!("node {i} must be an object, got {kind}")));
             return Ok(placeholder());
         }
@@ -637,7 +654,7 @@ impl<'a> Scan<'a> {
                 "attrs" if !attrs_seen => {
                     attrs_seen = true;
                     if s.peek() != Some(b'{') {
-                        let k = s.skip_value(0)?;
+                        let k = s.skip_value()?;
                         s.defer(schema(format!("node {i}.attrs must be an object, got {k}")));
                         return Ok(());
                     }
@@ -660,14 +677,14 @@ impl<'a> Scan<'a> {
                             // attribute material — dropped, exactly as the
                             // Value walker drops them.
                             _ => {
-                                s.skip_value(0)?;
+                                s.skip_value()?;
                             }
                         }
                         Ok(())
                     })?;
                 }
                 _ => {
-                    s.skip_value(0)?;
+                    s.skip_value()?;
                 }
             }
             Ok(())
@@ -690,7 +707,7 @@ impl<'a> Scan<'a> {
     /// The manifest's `skip_edges` array of `[from, to]` pairs.
     fn parse_skip_edges(&mut self) -> Result<Vec<(usize, usize)>, IngestError> {
         if self.peek() != Some(b'[') {
-            let kind = self.skip_value(0)?;
+            let kind = self.skip_value()?;
             self.defer(schema(format!(
                 "manifest.skip_edges must be an array, got {kind}"
             )));
@@ -700,7 +717,7 @@ impl<'a> Scan<'a> {
         let mut edges = Vec::new();
         self.in_array(|s, i| {
             if s.peek() != Some(b'[') {
-                let kind = s.skip_value(0)?;
+                let kind = s.skip_value()?;
                 s.defer(schema(format!(
                     "skip_edges[{i}] must be an array, got {kind}"
                 )));
@@ -713,7 +730,7 @@ impl<'a> Scan<'a> {
             s.in_array(|s, _| {
                 elems.push(match s.peek() {
                     Some(b'-' | b'0'..=b'9') => Ok(s.parse_number()?),
-                    _ => Err(s.skip_value(0)?),
+                    _ => Err(s.skip_value()?),
                 });
                 Ok(())
             })?;

@@ -172,8 +172,8 @@ proptest! {
         let bt = b.transpose(); // b.rows() == a.cols(), so bt is n x k
         let fast = a.matmul_nt(&bt).unwrap();
         let naive = matmul_naive(&a, &b);
-        // matmul_nt runs the dispatched dot kernel, whose lane backend
-        // re-associates the reduction across LANES accumulators — so this
+        // matmul_nt runs the lane dot kernel, which re-associates the
+        // reduction across LANES accumulators — so this
         // pin is a tolerance, unlike the still-exact blocked≡naive pin
         // above (whose per-element k order is unchanged by lane chunking).
         let scale = naive.max_abs().max(1.0);

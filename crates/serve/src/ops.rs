@@ -251,6 +251,7 @@ pub fn bim_heuristic_outcome(platform: &Platform, graph: &Graph) -> PlanOutcome 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powerlens_store::CacheMode;
 
     #[test]
     fn platform_and_graph_resolution() {
@@ -342,7 +343,7 @@ mod tests {
     fn cached_lint_serves_warm_lookups_with_identical_reports() {
         let agx = Platform::agx();
         let g = zoo::alexnet();
-        let cache = LintCache::mem_only();
+        let cache = LintCache::open(CacheMode::Mem, 16, None).unwrap().unwrap();
         let cold = lint_model_cached(&agx, &g, 4, &cache).unwrap();
         let warm = lint_model_cached(&agx, &g, 4, &cache).unwrap();
         assert_eq!(cache.misses(), 1);

@@ -48,9 +48,10 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Shards in the in-memory plan cache.
     pub shards: usize,
-    /// Capacity (entries) of the in-memory plan cache.
+    /// Capacity (entries) of the in-memory plan cache, and of the lint
+    /// report cache beside it.
     pub capacity: usize,
-    /// Cache mode for the shared [`PlanStore`].
+    /// Cache mode for the shared [`PlanStore`] and the lint cache.
     pub cache: CacheMode,
     /// Disk-tier directory when `cache` includes the disk tier.
     pub cache_dir: Option<PathBuf>,
@@ -160,13 +161,7 @@ impl Server {
             cfg.shards,
             cfg.cache_dir.as_deref(),
         )?;
-        // Lint reports memoize alongside plans: a `lint/` subdirectory keeps
-        // the two schemas from quarantining each other's files.
-        let lint_cache = match (cfg.cache, cfg.cache_dir.as_deref()) {
-            (CacheMode::Off, _) => None,
-            (CacheMode::Disk, Some(dir)) => Some(LintCache::with_disk(&dir.join("lint"))?),
-            _ => Some(LintCache::mem_only()),
-        };
+        let lint_cache = LintCache::open(cfg.cache, cfg.capacity, cfg.cache_dir.as_deref())?;
         let listener = TcpListener::bind((cfg.addr.as_str(), cfg.port))?;
         Ok(Server {
             listener,

@@ -229,6 +229,23 @@ fn inline_manifests_plan_through_the_ingest_gate() {
 }
 
 #[test]
+fn deeply_nested_bodies_are_refused_without_killing_the_daemon() {
+    let (addr, handle) = spawn_daemon(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+
+    let (status, body) = request(&addr, "POST", "/plan", &"[".repeat(20_000)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    let (status, _) = request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "the daemon survives the request");
+
+    let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+}
+
+#[test]
 fn overload_degrades_or_sheds_instead_of_hanging() {
     // One worker and a 2-deep queue: a burst of 8 slow planning requests
     // (distinct tenants force real cache misses) must overflow admission.

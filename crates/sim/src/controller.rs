@@ -1,7 +1,5 @@
 use powerlens_dnn::{Graph, LayerId};
-use powerlens_platform::{Domain, FreqLevel, SwitchOutcome, Telemetry};
-
-pub use powerlens_platform::{InstrumentationPlan, InstrumentationPoint};
+use powerlens_platform::{Domain, FreqLevel, InstrumentationPlan, SwitchOutcome, Telemetry};
 
 /// A frequency-change request issued by a controller before a layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,6 +157,7 @@ impl Controller for PlanController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powerlens_platform::InstrumentationPoint;
 
     fn plan() -> InstrumentationPlan {
         InstrumentationPlan::new(

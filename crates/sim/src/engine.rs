@@ -363,8 +363,9 @@ impl<'p> Engine<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InstrumentationPlan, InstrumentationPoint, PlanController, StaticController};
+    use crate::{PlanController, StaticController};
     use powerlens_dnn::zoo;
+    use powerlens_platform::{InstrumentationPlan, InstrumentationPoint};
 
     fn agx() -> Platform {
         Platform::agx()

@@ -4,7 +4,8 @@
 //! layer by layer, under the control of a [`Controller`] — either a
 //! *reactive governor* (BiM / FPG, which observe trailing telemetry and
 //! adjust frequencies with lag) or a *proactive*
-//! [`InstrumentationPlan`] (PowerLens, which presets a target frequency
+//! [`InstrumentationPlan`](powerlens_platform::InstrumentationPlan)
+//! (PowerLens, which presets a target frequency
 //! before each power block). The engine charges the platform's DVFS
 //! transition cost for every actual frequency change, records a
 //! tegrastats-like telemetry stream, and reports latency / energy /
@@ -34,10 +35,7 @@ mod engine;
 mod export;
 mod taskflow;
 
-pub use controller::{
-    Controller, FreqRequest, InstrumentationPlan, InstrumentationPoint, PlanController,
-    StaticController,
-};
+pub use controller::{Controller, FreqRequest, PlanController, StaticController};
 pub use degraded::{Degraded, DEFAULT_FAILURE_THRESHOLD, DEFAULT_STALE_WINDOW};
 pub use engine::{Engine, RunReport};
 pub use export::{write_summary_csv, write_trace_csv};

@@ -9,11 +9,10 @@
 
 use powerlens_dnn::zoo;
 use powerlens_faults::FaultPlan;
-use powerlens_platform::Platform;
+use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
 use powerlens_sim::{
     run_taskflow, Degraded, Engine, PlanController, RunReport, StaticController, TaskSpec,
 };
-use powerlens_sim::{InstrumentationPlan, InstrumentationPoint};
 
 /// Strict comparison: every float must match to the bit (asserted at 0.0
 /// absolute difference, reported against a 1e-12 gate for diagnostics).

@@ -1,11 +1,8 @@
 //! Property-based tests for the inference engine and task-flow runner.
 
 use powerlens_dnn::random::{generate, RandomDnnConfig};
-use powerlens_platform::Platform;
-use powerlens_sim::{
-    run_taskflow, Engine, InstrumentationPlan, InstrumentationPoint, PlanController,
-    StaticController, TaskSpec,
-};
+use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
+use powerlens_sim::{run_taskflow, Engine, PlanController, StaticController, TaskSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

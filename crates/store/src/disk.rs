@@ -3,8 +3,9 @@
 //!
 //! Writes go to a `.tmp` sibling first and are moved into place with
 //! `rename`, so a crash mid-write can never leave a half-entry under the
-//! final name and concurrent writers of the same key settle on one complete
-//! file. Opening a tier sweeps any `.tmp` files a crashed writer left
+//! final name. Every write gets its own tmp name, so concurrent writers of
+//! the same key never truncate each other's file and settle on one complete
+//! entry. Opening a tier sweeps any `.tmp` files a crashed writer left
 //! behind. Reads never trust the bytes: anything that fails to parse, or
 //! whose recorded key disagrees with its file name, is *quarantined* —
 //! renamed to `<name>.quarantine` (suffixed `.quarantine.1`, `.2`, … when
@@ -14,11 +15,19 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::process;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use powerlens_obs as obs;
+use serde::Serialize;
 
 use crate::entry::StoredEntry;
 use crate::key::CacheKey;
+use crate::service::CacheMode;
+
+/// Process-wide write counter; with the process id it makes every tmp
+/// file name unique.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A cache directory holding one `<key-hex>.json` per entry.
 #[derive(Debug, Clone)]
@@ -44,6 +53,22 @@ impl DiskTier {
         };
         tier.sweep_stale_tmp();
         Ok(tier)
+    }
+
+    /// The disk tier `mode` asks for: opened under `dir` in
+    /// [`CacheMode::Disk`] (an `InvalidInput` error without one), absent
+    /// otherwise.
+    pub(crate) fn for_mode(mode: CacheMode, dir: Option<&Path>) -> io::Result<Option<Self>> {
+        if mode != CacheMode::Disk {
+            return Ok(None);
+        }
+        let dir = dir.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "disk cache mode requires a cache directory",
+            )
+        })?;
+        Self::new(dir).map(Some)
     }
 
     fn sweep_stale_tmp(&self) {
@@ -77,22 +102,11 @@ impl DiskTier {
     /// unreadable, unparsable, or mis-keyed files are quarantined and also
     /// return `None`.
     pub fn load(&self, key: CacheKey) -> Option<StoredEntry> {
-        let path = self.path_for(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                self.quarantine(&path);
-                return None;
-            }
-        };
-        match serde_json::from_str::<StoredEntry>(&text) {
-            Ok(entry) if entry.key == key.hex() => Some(entry),
-            _ => {
-                self.quarantine(&path);
-                None
-            }
-        }
+        self.read(key, |text| {
+            serde_json::from_str::<StoredEntry>(text)
+                .ok()
+                .filter(|entry| entry.key == key.hex())
+        })
     }
 
     /// Persists an entry under its key (atomic tmp+rename).
@@ -101,10 +115,44 @@ impl DiskTier {
     ///
     /// Propagates serialization and I/O failures.
     pub fn store(&self, key: CacheKey, entry: &StoredEntry) -> io::Result<()> {
-        let json = serde_json::to_string_pretty(entry).map_err(io::Error::other)?;
-        let tmp = self.dir.join(format!("{}.json.tmp", key.hex()));
-        fs::write(&tmp, json)?;
-        fs::rename(&tmp, self.path_for(key))
+        self.write(key, entry)
+    }
+
+    /// Reads the file for `key` through `decode`, the codec shared with
+    /// the lint cache. Absent files return `None`; files that cannot be
+    /// read, or that `decode` rejects, are quarantined and also return
+    /// `None`.
+    pub(crate) fn read<T>(
+        &self,
+        key: CacheKey,
+        decode: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let path = self.path_for(key);
+        let decoded = match fs::read_to_string(&path) {
+            Ok(text) => decode(&text),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
+            Err(_) => None,
+        };
+        if decoded.is_none() {
+            self.quarantine(&path);
+        }
+        decoded
+    }
+
+    /// Publishes `value` as pretty JSON under `key`: written to a tmp file
+    /// named `<key-hex>.json.<pid>-<n>.tmp`, unique to this write, then
+    /// renamed into place. A failed write removes its tmp file and returns
+    /// the serialization or I/O error.
+    pub(crate) fn write(&self, key: CacheKey, value: &impl Serialize) -> io::Result<()> {
+        let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = format!("{}.json.{}-{seq}.tmp", key.hex(), process::id());
+        let tmp = self.dir.join(tmp);
+        let published = fs::write(&tmp, json).and_then(|()| fs::rename(&tmp, self.path_for(key)));
+        if published.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        published
     }
 
     /// Quarantines the file a bad entry was read from. When the quarantine
@@ -255,6 +303,37 @@ mod tests {
         let key = CacheKey(0x5a);
         tier.store(key, &entry_for(key)).unwrap();
         assert!(tier.load(key).is_some());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_all_publish() {
+        let dir = temp_dir("concurrent");
+        let tier = DiskTier::new(&dir).unwrap();
+        let key = CacheKey(0xc0c0);
+        let entry = entry_for(key);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        tier.store(key, &entry).expect("every store publishes");
+                    }
+                });
+            }
+        });
+        assert_eq!(tier.load(key).unwrap(), entry);
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            [format!("{}.json", key.hex())],
+            "only the entry is left"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

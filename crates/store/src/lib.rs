@@ -23,11 +23,11 @@
 //!   plus the plan pack against the *current* platform), then a real
 //!   planning run whose result back-fills both tiers. [`plan_batch`] maps
 //!   it over a whole model list with `powerlens_par` workers.
-//! * **[`LintCache`]** memoizes whole lint runs the same way: keyed by
-//!   graph fingerprint × rule-catalog version × platform signature × batch
-//!   ([`lint_cache_key`]), memory first with an optional JSON-on-disk tier,
-//!   so `powerlens lint`, `check.sh`, and the serve daemon's `/lint`
-//!   endpoint skip re-analysis of unchanged graphs.
+//! * **[`LintCache`]** memoizes whole lint runs on the same two tiers:
+//!   keyed by graph fingerprint × rule-catalog version × platform
+//!   signature × batch ([`lint_cache_key`]), a [`MemTier`] of reports over
+//!   an optional [`DiskTier`], so `powerlens lint`, `check.sh`, and the
+//!   serve daemon's `/lint` endpoint skip re-analysis of unchanged graphs.
 //!
 //! Cache activity is observable: the `store.hits` / `store.misses` /
 //! `store.evictions` counters and the `store.load_ms` histogram feed the

@@ -1,4 +1,4 @@
-//! Content-addressed lint-report cache: memory first, JSON-on-disk second.
+//! Content-addressed lint-report cache, on the plan store's own tiers.
 //!
 //! A lint run is a pure function of the graph structure, the rule catalog,
 //! the platform, and the batch size — so its reports can be memoized the
@@ -7,12 +7,12 @@
 //! into one [`CacheKey`]; bumping the rule catalog invalidates every cached
 //! report automatically, with no manual flush.
 //!
-//! [`LintCache`] layers a mutex-guarded in-memory map over an optional disk
-//! directory (one `<key-hex>.json` per entry, atomic tmp+rename writes,
-//! quarantine-on-corruption — the same discipline as [`crate::DiskTier`]).
-//! Keep the lint directory separate from the plan directory: the two file
-//! populations share a naming scheme but not a schema, and a shared
-//! directory would let one cache quarantine the other's entries.
+//! [`LintCache`] keeps its reports in a [`MemTier`] LRU over an optional
+//! [`DiskTier`] — the same tiers, eviction, atomic writes, tmp sweep and
+//! numbered quarantine the plan store uses. The disk tier lives in a `lint`
+//! subdirectory of the cache directory: the two file populations share a
+//! naming scheme but not a schema, and a shared directory would let one
+//! cache quarantine the other's entries.
 //!
 //! Reports are persisted via `powerlens_lint::report_to_value`, whose
 //! inverse *fails* on unknown rule codes or unparseable locations — a stale
@@ -21,12 +21,9 @@
 //! [`Graph::fingerprint`]: powerlens_dnn::Graph::fingerprint
 //! [`RULES_VERSION`]: powerlens_lint::RULES_VERSION
 
-use std::collections::HashMap;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use powerlens_dnn::Graph;
 use powerlens_lint::{
@@ -36,7 +33,10 @@ use powerlens_obs as obs;
 use powerlens_platform::Platform;
 use serde::Value;
 
+use crate::disk::DiskTier;
 use crate::key::{CacheKey, Fnv1a};
+use crate::mem::MemTier;
+use crate::service::CacheMode;
 
 /// Envelope schema for on-disk lint entries. Bump on layout changes; old
 /// files then read as misses and are quarantined.
@@ -56,50 +56,31 @@ pub fn lint_cache_key(graph: &Graph, platform: &Platform, batch: usize) -> Cache
 /// A two-tier (memory + optional disk) cache of full lint runs.
 #[derive(Debug)]
 pub struct LintCache {
-    mem: Mutex<HashMap<u64, Vec<LintReport>>>,
-    dir: Option<PathBuf>,
+    mem: MemTier<Vec<LintReport>>,
+    disk: Option<DiskTier>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl LintCache {
-    /// A memory-only cache: entries live as long as the process.
-    pub fn mem_only() -> Self {
-        LintCache {
-            mem: Mutex::new(HashMap::new()),
-            dir: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// A cache backed by `dir` (created if needed). Stale `.tmp` files from
-    /// crashed writers are swept on open — they were never published.
+    /// The lint cache a frontend running its plan store in `mode` uses:
+    /// `None` when caching is off, else an LRU of `capacity` entries, over
+    /// a disk tier under `<dir>/lint` in [`CacheMode::Disk`].
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
-    pub fn with_disk(dir: &Path) -> io::Result<Self> {
-        fs::create_dir_all(dir)?;
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == "tmp") && path.is_file() {
-                    let _ = fs::remove_file(&path);
-                }
-            }
+    /// Same conditions as [`crate::PlanStore::new`].
+    pub fn open(mode: CacheMode, capacity: usize, dir: Option<&Path>) -> io::Result<Option<Self>> {
+        if mode == CacheMode::Off {
+            return Ok(None);
         }
-        Ok(LintCache {
-            mem: Mutex::new(HashMap::new()),
-            dir: Some(dir.to_path_buf()),
+        let lint_dir = dir.map(|d| d.join("lint"));
+        Ok(Some(LintCache {
+            mem: MemTier::new(capacity),
+            disk: DiskTier::for_mode(mode, lint_dir.as_deref())?,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-        })
-    }
-
-    /// The directory backing this cache, if any.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
+        }))
     }
 
     /// Cache hits served so far (memory or disk).
@@ -115,78 +96,30 @@ impl LintCache {
     /// Returns the cached reports for `key`, consulting memory then disk.
     /// A disk hit back-fills the memory tier.
     pub fn get(&self, key: CacheKey) -> Option<Vec<LintReport>> {
-        if let Some(reports) = self.mem.lock().unwrap().get(&key.0).cloned() {
+        let found = self.mem.get(key.0).or_else(|| {
+            let disk = self.disk.as_ref()?;
+            let reports = disk.read(key, |text| decode_envelope(text, key).ok())?;
+            self.mem.insert(key.0, reports.clone());
+            Some(reports)
+        });
+        if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::counter("lint.cache.hits", 1);
-            return Some(reports);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            obs::counter("lint.cache.misses", 1);
         }
-        if let Some(reports) = self.load_disk(key) {
-            self.mem.lock().unwrap().insert(key.0, reports.clone());
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::counter("lint.cache.hits", 1);
-            return Some(reports);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::counter("lint.cache.misses", 1);
-        None
+        found
     }
 
     /// Stores `reports` under `key` in both tiers. Disk-write failures are
     /// swallowed: a cache that cannot persist degrades to memory-only
     /// rather than failing the lint run that produced the reports.
     pub fn put(&self, key: CacheKey, reports: &[LintReport]) {
-        self.mem.lock().unwrap().insert(key.0, reports.to_vec());
-        if self.dir.is_some() {
-            let _ = self.store_disk(key, reports);
+        self.mem.insert(key.0, reports.to_vec());
+        if let Some(disk) = &self.disk {
+            let _ = disk.write(key, &encode_envelope(key, reports));
         }
-    }
-
-    /// The memoized front end: serves `key` from cache or runs `lint` and
-    /// back-fills both tiers with its result.
-    pub fn get_or_lint<F>(&self, key: CacheKey, lint: F) -> Vec<LintReport>
-    where
-        F: FnOnce() -> Vec<LintReport>,
-    {
-        if let Some(reports) = self.get(key) {
-            return reports;
-        }
-        let reports = lint();
-        self.put(key, &reports);
-        reports
-    }
-
-    fn path_for(&self, key: CacheKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", key.hex())))
-    }
-
-    fn load_disk(&self, key: CacheKey) -> Option<Vec<LintReport>> {
-        let path = self.path_for(key)?;
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                quarantine(&path);
-                return None;
-            }
-        };
-        match decode_envelope(&text, key) {
-            Ok(reports) => Some(reports),
-            Err(_) => {
-                quarantine(&path);
-                None
-            }
-        }
-    }
-
-    fn store_disk(&self, key: CacheKey, reports: &[LintReport]) -> io::Result<()> {
-        let dir = self.dir.as_ref().expect("store_disk requires a dir");
-        let json = serde_json::to_string_pretty(&encode_envelope(key, reports))
-            .map_err(io::Error::other)?;
-        let tmp = dir.join(format!("{}.json.tmp", key.hex()));
-        fs::write(&tmp, json)?;
-        fs::rename(&tmp, dir.join(format!("{}.json", key.hex())))
     }
 }
 
@@ -235,27 +168,30 @@ fn decode_envelope(text: &str, key: CacheKey) -> Result<Vec<LintReport>, String>
     items.iter().map(report_from_value).collect()
 }
 
-/// Moves a bad entry aside (best effort) so the next lookup misses cleanly
-/// instead of re-parsing known-bad bytes.
-fn quarantine(path: &Path) {
-    let mut target = path.as_os_str().to_owned();
-    target.push(".quarantine");
-    if fs::rename(path, PathBuf::from(target)).is_ok() {
-        obs::counter("store.quarantined", 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use powerlens_dnn::zoo;
     use powerlens_lint::{lint_dataflow, lint_graph, DataflowContext, LintConfig};
+    use std::fs;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("powerlens_lintcache_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn disk_cache(dir: &Path) -> LintCache {
+        LintCache::open(CacheMode::Disk, 16, Some(dir))
+            .unwrap()
+            .expect("disk mode opens a cache")
+    }
+
+    /// Where a disk cache opened on `dir` keeps the entry for `key`.
+    fn entry_path(dir: &Path, key: CacheKey) -> PathBuf {
+        dir.join("lint").join(format!("{}.json", key.hex()))
     }
 
     fn lint_once(graph: &Graph) -> Vec<LintReport> {
@@ -278,20 +214,27 @@ mod tests {
     }
 
     #[test]
+    fn off_mode_opens_no_cache() {
+        assert!(LintCache::open(CacheMode::Off, 16, None).unwrap().is_none());
+    }
+
+    #[test]
     fn mem_cache_serves_second_lookup_without_relinting() {
-        let cache = LintCache::mem_only();
+        let cache = LintCache::open(CacheMode::Mem, 16, None).unwrap().unwrap();
         let g = zoo::googlenet();
         let key = lint_cache_key(&g, &Platform::agx(), 1);
 
         let mut runs = 0;
-        let cold = cache.get_or_lint(key, || {
-            runs += 1;
-            lint_once(&g)
-        });
-        let warm = cache.get_or_lint(key, || {
-            runs += 1;
-            lint_once(&g)
-        });
+        let mut lookup = || {
+            cache.get(key).unwrap_or_else(|| {
+                runs += 1;
+                let reports = lint_once(&g);
+                cache.put(key, &reports);
+                reports
+            })
+        };
+        let cold = lookup();
+        let warm = lookup();
         assert_eq!(runs, 1, "second lookup must be served from memory");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -301,15 +244,28 @@ mod tests {
     }
 
     #[test]
+    fn memory_tier_is_bounded_by_its_capacity() {
+        let cache = LintCache::open(CacheMode::Mem, 4, None).unwrap().unwrap();
+        let g = zoo::alexnet();
+        let agx = Platform::agx();
+        let reports = lint_once(&g);
+        for batch in 1..=10 {
+            cache.put(lint_cache_key(&g, &agx, batch), &reports);
+        }
+        assert!(cache.mem.len() <= 4, "{} entries resident", cache.mem.len());
+        assert!(cache.get(lint_cache_key(&g, &agx, 10)).is_some());
+    }
+
+    #[test]
     fn disk_entries_survive_a_reopen() {
         let dir = temp_dir("reopen");
         let g = zoo::alexnet();
         let key = lint_cache_key(&g, &Platform::agx(), 1);
         {
-            let cache = LintCache::with_disk(&dir).unwrap();
+            let cache = disk_cache(&dir);
             cache.put(key, &lint_once(&g));
         }
-        let reopened = LintCache::with_disk(&dir).unwrap();
+        let reopened = disk_cache(&dir);
         let reports = reopened.get(key).expect("entry must persist");
         assert_eq!(reopened.hits(), 1);
         assert_eq!(reports.len(), 2);
@@ -320,31 +276,55 @@ mod tests {
     #[test]
     fn corrupt_and_miskeyed_entries_are_quarantined_misses() {
         let dir = temp_dir("corrupt");
-        let cache = LintCache::with_disk(&dir).unwrap();
+        let cache = disk_cache(&dir);
         let g = zoo::alexnet();
         let key = lint_cache_key(&g, &Platform::agx(), 1);
+        let path = entry_path(&dir, key);
 
-        fs::write(dir.join(format!("{}.json", key.hex())), "{ nope").unwrap();
+        fs::write(&path, "{ nope").unwrap();
         assert!(cache.get(key).is_none());
-        assert!(dir.join(format!("{}.json.quarantine", key.hex())).exists());
+        assert!(path.with_extension("json.quarantine").exists());
 
         // A valid envelope recorded under a different key must not serve.
         let other = lint_cache_key(&g, &Platform::tx2(), 1);
         let json = serde_json::to_string(&encode_envelope(other, &lint_once(&g))).unwrap();
-        fs::write(dir.join(format!("{}.json", key.hex())), json).unwrap();
+        fs::write(&path, json).unwrap();
         assert!(cache.get(key).is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repeated_corruption_keeps_every_quarantined_payload() {
+        let dir = temp_dir("requarantine");
+        let cache = disk_cache(&dir);
+        let key = lint_cache_key(&zoo::alexnet(), &Platform::agx(), 1);
+        let path = entry_path(&dir, key);
+        for round in 0..3 {
+            fs::write(&path, format!("bad payload round {round}")).unwrap();
+            assert!(cache.get(key).is_none());
+        }
+        for (round, suffix) in ["quarantine", "quarantine.1", "quarantine.2"]
+            .iter()
+            .enumerate()
+        {
+            let kept = path.with_extension(format!("json.{suffix}"));
+            assert_eq!(
+                fs::read_to_string(&kept).unwrap(),
+                format!("bad payload round {round}")
+            );
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stale_rules_version_invalidates_the_entry() {
         let dir = temp_dir("stale");
-        let cache = LintCache::with_disk(&dir).unwrap();
+        let cache = disk_cache(&dir);
         let g = zoo::alexnet();
         let key = lint_cache_key(&g, &Platform::agx(), 1);
         cache.put(key, &lint_once(&g));
 
-        let path = dir.join(format!("{}.json", key.hex()));
+        let path = entry_path(&dir, key);
         let text = fs::read_to_string(&path).unwrap();
         let aged = text.replace(
             &format!("\"rules_version\": {RULES_VERSION}"),
@@ -354,7 +334,7 @@ mod tests {
         fs::write(&path, aged).unwrap();
 
         // Memory still holds it; a fresh cache reading only disk must miss.
-        let fresh = LintCache::with_disk(&dir).unwrap();
+        let fresh = disk_cache(&dir);
         assert!(fresh.get(key).is_none());
         assert_eq!(fresh.misses(), 1);
         fs::remove_dir_all(&dir).ok();

@@ -1,4 +1,5 @@
-//! The in-memory tier: a sharded LRU keyed by [`CacheKey`] value.
+//! The in-memory tier: a sharded LRU keyed by [`CacheKey`] value, shared
+//! by plan outcomes and cached lint reports.
 //!
 //! Recency is a global atomic tick, bumped on every touch; eviction removes
 //! the smallest tick *within the full shard*. Sharding makes eviction
@@ -14,21 +15,21 @@ use powerlens_obs as obs;
 use powerlens_par::Sharded;
 
 #[derive(Debug)]
-struct Slot {
+struct Slot<V> {
     last_used: u64,
-    outcome: PlanOutcome,
+    value: V,
 }
 
-/// Sharded in-memory LRU of plan outcomes.
+/// Sharded in-memory LRU; values are plan outcomes unless stated otherwise.
 #[derive(Debug)]
-pub struct MemTier {
-    shards: Sharded<HashMap<u64, Slot>>,
+pub struct MemTier<V = PlanOutcome> {
+    shards: Sharded<HashMap<u64, Slot<V>>>,
     per_shard_cap: usize,
     tick: AtomicU64,
 }
 
-impl MemTier {
-    /// An LRU holding at most `capacity` outcomes (at least 1), spread over
+impl<V: Clone> MemTier<V> {
+    /// An LRU holding at most `capacity` values (at least 1), spread over
     /// a default shard count.
     pub fn new(capacity: usize) -> Self {
         // More shards than entries would make per-shard capacity meaningless;
@@ -51,20 +52,20 @@ impl MemTier {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Returns a clone of the cached outcome and marks it most recent.
-    pub fn get(&self, key: u64) -> Option<PlanOutcome> {
+    /// Returns a clone of the cached value and marks it most recent.
+    pub fn get(&self, key: u64) -> Option<V> {
         let tick = self.next_tick();
         self.shards.with(key, |map| {
             map.get_mut(&key).map(|slot| {
                 slot.last_used = tick;
-                slot.outcome.clone()
+                slot.value.clone()
             })
         })
     }
 
-    /// Inserts (or refreshes) an outcome, evicting the least recently used
+    /// Inserts (or refreshes) a value, evicting the least recently used
     /// entry of the target shard when it is full.
-    pub fn insert(&self, key: u64, outcome: PlanOutcome) {
+    pub fn insert(&self, key: u64, value: V) {
         let tick = self.next_tick();
         let cap = self.per_shard_cap;
         self.shards.with(key, |map| {
@@ -82,7 +83,7 @@ impl MemTier {
                 key,
                 Slot {
                     last_used: tick,
-                    outcome,
+                    value,
                 },
             );
         });

@@ -155,22 +155,10 @@ impl PlanStore {
     }
 
     fn build(mode: CacheMode, mem: MemTier, dir: Option<&Path>) -> io::Result<Self> {
-        let disk = match mode {
-            CacheMode::Disk => {
-                let dir = dir.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "disk cache mode requires a cache directory",
-                    )
-                })?;
-                Some(DiskTier::new(dir)?)
-            }
-            CacheMode::Off | CacheMode::Mem => None,
-        };
         Ok(PlanStore {
             mode,
             mem,
-            disk,
+            disk: DiskTier::for_mode(mode, dir)?,
             tenants: Mutex::new(TenantTable::default()),
         })
     }

@@ -25,7 +25,7 @@ if [ "$fast" -eq 0 ]; then
 fi
 # Lane-kernel gate: every SIMD-shaped reduction kernel must stay inside its
 # pinned tolerance of (or bit-identical to) the scalar reference, across
-# every remainder width. Runs even with --fast — kernel dispatch is the
+# every remainder width. Runs even with --fast — the lane kernels are the
 # numerical foundation everything above sits on.
 run cargo test -q -p powerlens-numeric --test kernel_tolerance
 # Static-analysis gate: every zoo model must lint clean (error severity
@@ -74,7 +74,8 @@ case "$hybrid_out" in
 esac
 run cargo test -q -p powerlens-governors --test hybrid_differential
 # Serving smoke: a live daemon on an ephemeral port must answer an HTTP
-# plan, expose /metrics, and shut down cleanly on request.
+# plan, expose /metrics, survive a deeply nested body, and shut down
+# cleanly on request.
 echo "==> serve smoke (ephemeral port)"
 serve_log=$(mktemp)
 ./target/release/powerlens-cli serve --port 0 --cache mem --threads 2 --batch 4 \
@@ -105,6 +106,14 @@ case "$metrics" in
     *'serve.requests'*) ;;
     *) serve_fail "metrics missing serve.requests: $metrics" ;;
 esac
+# A body nested 20,000 levels deep must be refused with 400, and the
+# daemon must still be up to answer the next request.
+deep=$(head -c 20000 /dev/zero | tr '\0' '[')
+status=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/plan" -d "$deep") \
+    || serve_fail "POST of a deeply nested body failed (status ${status:-none})"
+[ "$status" = 400 ] || serve_fail "deeply nested body got HTTP $status, expected 400"
+curl -sf "http://$addr/healthz" > /dev/null \
+    || serve_fail "GET /healthz failed after a deeply nested body"
 curl -sf -X POST "http://$addr/shutdown" > /dev/null \
     || serve_fail "POST /shutdown failed"
 # A missed accept wake would hang a bare `wait`: give the daemon 5 s.
@@ -116,7 +125,7 @@ kill -0 "$serve_pid" 2>/dev/null \
     && serve_fail "daemon still running 5 s after POST /shutdown"
 wait "$serve_pid" || serve_fail "daemon exited non-zero"
 rm -f "$serve_log"
-echo "serve smoke: plan + metrics + shutdown ok on $addr"
+echo "serve smoke: plan + metrics + nesting bound + shutdown ok on $addr"
 run cargo bench --no-run
 RUSTDOCFLAGS="-D warnings"
 export RUSTDOCFLAGS

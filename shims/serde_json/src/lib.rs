@@ -169,9 +169,15 @@ pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts (upstream
+/// serde_json's default recursion limit). Parsing recurses once per level,
+/// so without a bound a few kilobytes of `[` overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'s> {
     bytes: &'s [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'s> Parser<'s> {
@@ -179,6 +185,7 @@ impl<'s> Parser<'s> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -243,12 +250,24 @@ impl<'s> Parser<'s> {
                 }
             }
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(self.err(&format!("unexpected character `{}`", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_number(&mut self) -> Result<Value> {
@@ -499,6 +518,21 @@ mod tests {
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Value>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+        // Far past the bound: refused, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use powerlens::{evaluate_plan, PlanController, PowerLens, PowerLensConfig};
 use powerlens_dnn::zoo;
-use powerlens_platform::Platform;
-use powerlens_sim::{Engine, InstrumentationPlan, InstrumentationPoint, StaticController};
+use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
+use powerlens_sim::{Engine, StaticController};
 
 #[test]
 fn oracle_plans_cover_every_zoo_model_on_both_platforms() {
