@@ -40,7 +40,8 @@ gate never reaches the planner.
 faultsim runs a robustness report: each controller (PowerLens plan, its
 degraded wrapper falling back to BiM, and BiM itself) runs once clean and
 once under the seeded fault plan, and the report prints energy-efficiency
-retention per controller. `compare` and `trace` also accept
+retention per controller; it exits 1 when the degraded wrapper retains
+less than 90% of BiM's retention. `compare` and `trace` also accept
 --faults SPEC [--fault-seed N]: SPEC is comma-separated key=value pairs
 (switch_fail, gpu_switch_fail, cpu_switch_fail, jitter, cap, drop, noise,
 perturb, perturb_sigma, retries, backoff, phase, phase_at, seed); plans are
@@ -50,8 +51,10 @@ hybridsim runs the online-adaptation report: the PowerLens plan, the hybrid
 governor (plan + telemetry drift detection + bounded re-planning) and BiM
 each run once clean and once under a seeded fault storm with a mid-trace
 workload phase change, and the report prints energy-efficiency recovery per
-controller plus the hybrid ladder's counters. `compare` and `faultsim` also
-accept --hybrid to add the hybrid governor row to their line-ups
+controller plus the hybrid ladder's counters; it exits 1 when the hybrid's
+faulted EE falls below the static plan's or 90% of BiM's. `compare` and
+`faultsim` also accept --hybrid to add the hybrid governor row to their
+line-ups
 
 plan-batch plans every named model (default: the whole zoo) through the
 content-addressed plan cache with parallel workers.

@@ -663,23 +663,29 @@ fn faultsim(model: &str, opts: &Options) -> CliResult {
     for (name, retention) in &retentions {
         println!("ee_retention {name} {retention:.4}");
     }
-    let bim_floor = retentions
-        .iter()
-        .find(|(n, _)| n == "bim")
-        .map_or(0.0, |(_, r)| *r);
-    let degraded_r = retentions
-        .iter()
-        .find(|(n, _)| n == "degraded")
-        .map_or(0.0, |(_, r)| *r);
-    if degraded_r + 1e-9 >= bim_floor * 0.9 {
-        println!("robustness: degraded controller holds the BiM floor");
+    let retention_of = |name: &str| {
+        retentions
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0.0, |(_, r)| *r)
+    };
+    let verdict = robustness_verdict(retention_of("degraded"), retention_of("bim"));
+    println!("{}", verdict.as_ref().unwrap_or_else(|breach| breach));
+    verdict.map(drop).map_err(Into::into)
+}
+
+/// faultsim's floor: the degraded controller must retain at least 90% of
+/// the energy efficiency BiM retains. Returns the report's closing line,
+/// as `Err` on a breach so the command exits non-zero.
+fn robustness_verdict(degraded: f64, bim: f64) -> Result<String, String> {
+    if degraded + 1e-9 >= bim * 0.9 {
+        Ok("robustness: degraded controller holds the BiM floor".to_string())
     } else {
-        println!(
-            "robustness: WARNING degraded retention {degraded_r:.3} fell below \
-             90% of the BiM floor {bim_floor:.3}"
-        );
+        Err(format!(
+            "robustness: WARNING degraded retention {degraded:.3} fell below \
+             90% of the BiM floor {bim:.3}"
+        ))
     }
-    Ok(())
 }
 
 /// Storm `hybridsim` injects when `--faults` is not given: the acceptance
@@ -822,20 +828,28 @@ fn hybridsim(model: &str, opts: &Options) -> CliResult {
     for (name, _, f) in rows {
         println!("ee_recovery {name} {:.4}", f.energy_efficiency / denom);
     }
-    let (plan_f, hybrid_f, bim_f) = (
-        plan_faulted.energy_efficiency,
+    let verdict = adaptation_verdict(
         hybrid_faulted.energy_efficiency,
+        plan_faulted.energy_efficiency,
         bim_faulted.energy_efficiency,
     );
-    if hybrid_f + 1e-9 >= plan_f && hybrid_f + 1e-9 >= 0.9 * bim_f {
-        println!("adaptation: hybrid holds the static-plan and BiM floors");
+    println!("{}", verdict.as_ref().unwrap_or_else(|breach| breach));
+    verdict.map(drop).map_err(Into::into)
+}
+
+/// hybridsim's floors: under faults the hybrid governor's energy
+/// efficiency must reach the static plan's and 90% of BiM's. Returns the
+/// report's closing line, as `Err` on a breach so the command exits
+/// non-zero.
+fn adaptation_verdict(hybrid: f64, plan: f64, bim: f64) -> Result<String, String> {
+    if hybrid + 1e-9 >= plan && hybrid + 1e-9 >= 0.9 * bim {
+        Ok("adaptation: hybrid holds the static-plan and BiM floors".to_string())
     } else {
-        println!(
-            "adaptation: WARNING hybrid EE {hybrid_f:.4} under faults fell below \
-             the static plan ({plan_f:.4}) or 90% of BiM ({bim_f:.4})"
-        );
+        Err(format!(
+            "adaptation: WARNING hybrid EE {hybrid:.4} under faults fell below \
+             the static plan ({plan:.4}) or 90% of BiM ({bim:.4})"
+        ))
     }
-    Ok(())
 }
 
 /// Lints one model (or the whole zoo) end to end: graph pack, the view
@@ -1172,6 +1186,31 @@ mod tests {
             opts: o,
         })
         .unwrap();
+    }
+
+    #[test]
+    fn robustness_verdict_fails_below_the_bim_floor() {
+        assert!(robustness_verdict(0.95, 1.0).is_ok());
+        assert!(robustness_verdict(0.9, 1.0).is_ok());
+        let breach = robustness_verdict(0.899, 1.0).unwrap_err();
+        assert!(breach.contains("WARNING"), "{breach}");
+        assert!(robustness_verdict(0.5, 0.0).is_ok());
+    }
+
+    #[test]
+    fn adaptation_verdict_fails_below_either_floor() {
+        assert!(adaptation_verdict(10.6359, 10.6359, 8.6485).is_ok());
+        assert!(adaptation_verdict(10.7, 10.6359, 8.6485).is_ok());
+        // The mobilenet_v3 storm on tx2: the hybrid lands just under the
+        // static plan, so the command must fail.
+        let breach = adaptation_verdict(10.6343, 10.6359, 8.6485).unwrap_err();
+        assert!(
+            breach.contains("10.6343") && breach.contains("10.6359"),
+            "{breach}"
+        );
+        // Above the static plan but under 90% of BiM.
+        assert!(adaptation_verdict(5.0, 4.0, 6.0).is_err());
+        assert!(adaptation_verdict(5.4, 4.0, 6.0).is_ok());
     }
 
     #[test]

@@ -45,7 +45,6 @@ use powerlens_numeric::{
     covariance, euclidean, mahalanobis, pseudo_inverse, Matrix, NumericError, Scaler, Whitener,
 };
 use powerlens_obs as obs;
-use powerlens_par as par;
 
 /// Hyperparameters of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,12 +203,9 @@ impl PowerView {
     }
 }
 
-/// One blended element: `α · m/scale + (1-α) · (1 - exp(-λ|i-j|))`.
-///
-/// Shared by the one-buffer build and [`blend_spacing`], so both produce
-/// the same bits for the same `(m, i, j)`.
-fn blended(m: f64, i: usize, j: usize, scale: f64, alpha: f64, lambda: f64) -> f64 {
-    let spacing = 1.0 - (-lambda * (i as f64 - j as f64).abs()).exp();
+/// One blended element: `α · m/scale + (1-α) · spacing`, where `spacing`
+/// is `1 - exp(-λ|i-j|)` for the pair.
+fn blended(m: f64, spacing: f64, scale: f64, alpha: f64) -> f64 {
     alpha * m / scale + (1.0 - alpha) * spacing
 }
 
@@ -222,26 +218,20 @@ fn blend_spacing(d: &Matrix, d_max: f64, alpha: f64, lambda: f64) -> Matrix {
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                out[(i, j)] = blended(d[(i, j)], i, j, scale, alpha, lambda);
+                let spacing = 1.0 - (-lambda * (i as f64 - j as f64).abs()).exp();
+                out[(i, j)] = blended(d[(i, j)], spacing, scale, alpha);
             }
         }
     }
     out
 }
 
-/// Whitened Euclidean distances over the scaled feature rows, as
-/// upper-triangle rows: row `i` holds the distances to `j` in `(i+1)..n`.
-/// The rows are independent work units fanned out over the thread pool.
-fn whitened_upper_triangle(features: &Matrix) -> Result<Vec<Vec<f64>>, NumericError> {
+/// The scaled feature rows in whitened coordinates, where plain Euclidean
+/// distance is the Mahalanobis distance of the scaled rows.
+fn whiten(features: &Matrix) -> Result<Matrix, NumericError> {
     let x = Scaler::fit(features)?.transform(features)?;
     let cov = covariance(&x)?;
-    let z = Whitener::from_covariance(&cov)?.whiten(&x)?;
-    let n = z.rows();
-    Ok(par::map_range(n, 0, |i| {
-        ((i + 1)..n)
-            .map(|j| euclidean(z.row(i), z.row(j)))
-            .collect()
-    }))
+    Whitener::from_covariance(&cov)?.whiten(&x)
 }
 
 /// Computes the blended power-distance matrix (Algorithm 1 lines 1-12):
@@ -251,10 +241,15 @@ fn whitened_upper_triangle(features: &Matrix) -> Result<Vec<Vec<f64>>, NumericEr
 /// The Mahalanobis step whitens the scaled rows once
 /// ([`powerlens_numeric::Whitener`]) and measures plain Euclidean distance
 /// over whitened coordinates — O(n·d² + n²·d) instead of the per-pair
-/// quadratic form's O(n²·d²) — and fans the upper-triangle rows out over
-/// the scoped thread pool. Each matrix element is computed independently
-/// and written at a fixed position, so the result is bit-identical for any
-/// thread count.
+/// quadratic form's O(n²·d²). The build is sequential and allocates one
+/// n×n buffer, the result: the raw distances fill its upper triangle, each
+/// row is blended in place, and the triangle is mirrored tile by tile.
+/// Callers parallelize across graphs (dataset workers, serve workers,
+/// `plan-batch`), never inside one.
+///
+/// The spacing term depends only on the exact integer gap `|i-j|`, so it
+/// comes from an n-entry table instead of one `exp` per pair — the same
+/// bits as evaluating it per pair.
 ///
 /// # Errors
 ///
@@ -266,19 +261,37 @@ pub fn power_distance_matrix(
     lambda: f64,
 ) -> Result<Matrix, NumericError> {
     let started = Instant::now();
-    let tri = whitened_upper_triangle(features)?;
-    let n = tri.len();
-    let d_max = tri.iter().flatten().fold(0.0f64, |acc, &m| acc.max(m));
-    let scale = if d_max > 0.0 { d_max } else { 1.0 };
-    // Each blended value goes straight into its two symmetric slots: the
-    // only n×n buffer is the result.
+    let z = whiten(features)?;
+    let n = z.rows();
     let mut out = Matrix::zeros(n, n);
-    for (i, row) in tri.into_iter().enumerate() {
-        for (off, m) in row.into_iter().enumerate() {
-            let j = i + 1 + off;
-            let v = blended(m, i, j, scale, alpha, lambda);
-            out[(i, j)] = v;
-            out[(j, i)] = v;
+    let mut d_max = 0.0f64;
+    for i in 0..n {
+        let zi = z.row(i);
+        for (j, slot) in out.row_mut(i).iter_mut().enumerate().skip(i + 1) {
+            let m = euclidean(zi, z.row(j));
+            d_max = d_max.max(m);
+            *slot = m;
+        }
+    }
+    let scale = if d_max > 0.0 { d_max } else { 1.0 };
+    let spacing: Vec<f64> = (0..n).map(|k| 1.0 - (-lambda * k as f64).exp()).collect();
+    for i in 0..n {
+        // Row i's upper part holds gaps 1, 2, ...: one contiguous pass.
+        for (slot, &s) in out.row_mut(i)[i + 1..].iter_mut().zip(&spacing[1..]) {
+            *slot = blended(*slot, s, scale, alpha);
+        }
+    }
+    // Mirror the upper triangle in square tiles, so the column-order
+    // writes stay within a few cache lines.
+    const TILE: usize = 32;
+    let data = out.as_mut_slice();
+    for ti in (0..n).step_by(TILE) {
+        for tj in (ti..n).step_by(TILE) {
+            for i in ti..(ti + TILE).min(n) {
+                for j in tj.max(i + 1)..(tj + TILE).min(n) {
+                    data[j * n + i] = data[i * n + j];
+                }
+            }
         }
     }
     if obs::enabled() {
@@ -939,15 +952,16 @@ mod tests {
     #[test]
     fn one_buffer_build_is_bit_identical_to_the_two_buffer_blend() {
         // The two-buffer construction: a raw symmetric Mahalanobis matrix
-        // with its max, then `blend_spacing` into a second matrix.
+        // with its max, then `blend_spacing` into a second matrix, with one
+        // `exp` per pair for the spacing term.
         let two_buffer = |x: &Matrix, alpha: f64, lambda: f64| {
-            let tri = whitened_upper_triangle(x).unwrap();
-            let n = tri.len();
+            let z = whiten(x).unwrap();
+            let n = z.rows();
             let mut d = Matrix::zeros(n, n);
             let mut d_max: f64 = 0.0;
-            for (i, row) in tri.iter().enumerate() {
-                for (off, &m) in row.iter().enumerate() {
-                    let j = i + 1 + off;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let m = euclidean(z.row(i), z.row(j));
                     d[(i, j)] = m;
                     d[(j, i)] = m;
                     d_max = d_max.max(m);

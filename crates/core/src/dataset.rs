@@ -64,9 +64,11 @@ pub struct Datasets {
 /// block across *all* schemes' power views (the paper subjects each network
 /// to "clustering algorithms with varying hyperparameters" and labels every
 /// resulting block — 8000 networks yield 31,242 blocks, ~4 per network).
+/// Every block label reads the cost table `plan_oracle` priced the network
+/// with, so each layer is priced once per network.
 fn label_network(pl: &PowerLens<'_>, graph: &Graph) -> (TwoStageSample, Vec<Sample>) {
-    let outcome = pl
-        .plan_oracle(graph)
+    let (outcome, table) = pl
+        .plan_oracle_priced(graph)
         .expect("random networks produce finite features");
     let global = GlobalFeatures::of_graph(graph);
     let hyper_sample = TwoStageSample {
@@ -81,7 +83,7 @@ fn label_network(pl: &PowerLens<'_>, graph: &Graph) -> (TwoStageSample, Vec<Samp
         if seen.insert((lo, hi)) {
             block_samples.push(Sample {
                 input: GlobalFeatures::of_range(graph, lo, hi).concat(),
-                label: pl.oracle_block_level(graph, lo, hi),
+                label: table.best_level(lo, hi, pl.config().slack),
             });
         }
     };
@@ -245,6 +247,53 @@ mod tests {
         assert_eq!(ds.hyper.len(), 1);
         assert_eq!(ds.num_networks, 1);
         assert!(!ds.decision.is_empty());
+    }
+
+    /// FNV-1a over every label and every input bit of a generated dataset.
+    fn dataset_hash(ds: &Datasets) -> u64 {
+        fn floats(words: &mut Vec<u64>, xs: &[f64]) {
+            words.push(xs.len() as u64);
+            words.extend(xs.iter().map(|x| x.to_bits()));
+        }
+        let mut words = vec![ds.num_networks as u64, ds.hyper.len() as u64];
+        for s in &ds.hyper {
+            words.push(s.label as u64);
+            floats(&mut words, &s.structural);
+            floats(&mut words, &s.statistics);
+        }
+        words.push(ds.decision.len() as u64);
+        for s in &ds.decision {
+            words.push(s.label as u64);
+            floats(&mut words, &s.input);
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn oracle_labels_are_pinned() {
+        // Every hyper label, decision label and input bit of a 24-network
+        // pool, hashed. The constants were recorded before the per-layer
+        // cost table replaced the per-range oracle sweep; any change to an
+        // oracle decision, a scheme choice or a feature moves them.
+        let cfg = DatasetConfig {
+            num_networks: 24,
+            seed: 19,
+            random: RandomDnnConfig::default(),
+            threads: 2,
+        };
+        for (platform, want) in [
+            (Platform::agx(), 0xb6c4_dd6b_1e95_967c_u64),
+            (Platform::tx2(), 0x562b_8057_a3ea_6142_u64),
+        ] {
+            let ds = generate(&platform, &PowerLensConfig::default(), &cfg);
+            let got = dataset_hash(&ds);
+            assert_eq!(got, want, "{}: {got:#018x}", platform.name());
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use powerlens_dnn::Graph;
+use powerlens_governors::oracle::{self, CostTable};
 use powerlens_platform::{FreqLevel, InstrumentationPlan, InstrumentationPoint, Platform};
 
 /// Analytic quality estimate of an instrumentation plan.
@@ -25,45 +26,23 @@ pub struct PlanEval {
     pub num_switches: usize,
 }
 
-/// Time and energy to run layers `[start, end)` once at fixed levels, in
-/// the simulator's per-layer summation order.
-fn segment(
-    platform: &Platform,
-    graph: &Graph,
-    start: usize,
-    end: usize,
-    batch: usize,
-    gpu: FreqLevel,
-    cpu: FreqLevel,
-) -> (f64, f64) {
-    let mut time = 0.0;
-    let mut energy = 0.0;
-    for layer in &graph.layers()[start..end] {
-        let t = platform.layer_timing(layer, batch, gpu, cpu);
-        time += t.total;
-        energy += platform.layer_power(&t, gpu, cpu) * t.total;
-    }
-    (time, energy)
-}
-
-/// Time and energy for one whole batch of size `batch`: the prefix before
+/// Time and energy for one whole batch of size `size`: the prefix before
 /// the first instrumentation point runs at `prefix_gpu` (the boot level in
 /// batch one, the wrapped-around last-block level afterwards), every block
-/// at its preset level, all layers at the plan's CPU level.
+/// at its preset level. `segment(start, end, size, gpu)` prices layers
+/// `[start, end)` at the plan's CPU level.
 fn batch_cost(
-    platform: &Platform,
-    graph: &Graph,
+    segment: &impl Fn(usize, usize, usize, FreqLevel) -> (f64, f64),
+    n: usize,
     points: &[InstrumentationPoint],
-    batch: usize,
+    size: usize,
     prefix_gpu: FreqLevel,
-    cpu: FreqLevel,
 ) -> (f64, f64) {
-    let n = graph.num_layers();
     let first = points.first().map_or(n, |p| p.layer);
-    let (mut time, mut energy) = segment(platform, graph, 0, first, batch, prefix_gpu, cpu);
+    let (mut time, mut energy) = segment(0, first, size, prefix_gpu);
     for (i, p) in points.iter().enumerate() {
         let end = points.get(i + 1).map_or(n, |q| q.layer);
-        let (t, e) = segment(platform, graph, p.layer, end, batch, p.gpu_level, cpu);
+        let (t, e) = segment(p.layer, end, size, p.gpu_level);
         time += t;
         energy += e;
     }
@@ -102,6 +81,22 @@ pub fn evaluate_plan(
     batch: usize,
     images: usize,
 ) -> PlanEval {
+    evaluate_plan_priced(platform, graph, plan, batch, images, None)
+}
+
+/// [`evaluate_plan`] that reads every segment it can from `table`: those
+/// at the table's batch size with the CPU at max, which is every segment
+/// of an oracle plan's full batches. Other segments (a partial final batch,
+/// a lowered CPU level) are priced layer by layer. The result is
+/// bit-identical to [`evaluate_plan`] either way.
+pub(crate) fn evaluate_plan_priced(
+    platform: &Platform,
+    graph: &Graph,
+    plan: &InstrumentationPlan,
+    batch: usize,
+    images: usize,
+    table: Option<&CostTable>,
+) -> PlanEval {
     assert!(batch > 0 && images > 0, "batch and images must be positive");
     let n = graph.num_layers();
     let points = plan.points();
@@ -122,18 +117,32 @@ pub fn evaluate_plan(
     let remainder = images % batch;
     let num_batches = full_batches + usize::from(remainder > 0);
 
+    let segment = |start: usize, end: usize, size: usize, gpu: FreqLevel| match table {
+        Some(t) if t.batch() == size && cpu == cpu_boot => t.range(start, end, gpu),
+        _ => oracle::range_cost(platform, graph, start, end, size, gpu, cpu),
+    };
     // Batch one pays the boot-level prefix; later batches the wrapped
     // prefix; the simulator shrinks the final batch to the remainder.
     let first_size = if full_batches > 0 { batch } else { remainder };
-    let (mut time, mut energy) = batch_cost(platform, graph, points, first_size, gpu_boot, cpu);
+    let first_cost = batch_cost(&segment, n, points, first_size, gpu_boot);
+    let (mut time, mut energy) = first_cost;
     if full_batches > 1 {
-        let (t, e) = batch_cost(platform, graph, points, batch, gpu_wrap, cpu);
+        // A wrapped batch differs from batch one only in its prefix's level,
+        // so when the prefix is empty (the first point sits at layer 0, as
+        // in every planner-emitted plan) or runs at the boot level anyway,
+        // it costs exactly what batch one did.
+        let prefix_moves = gpu_wrap != gpu_boot && points.first().is_some_and(|p| p.layer > 0);
+        let (t, e) = if prefix_moves {
+            batch_cost(&segment, n, points, batch, gpu_wrap)
+        } else {
+            first_cost
+        };
         let reps = (full_batches - 1) as f64;
         time += t * reps;
         energy += e * reps;
     }
     if remainder > 0 && full_batches > 0 {
-        let (t, e) = batch_cost(platform, graph, points, remainder, gpu_wrap, cpu);
+        let (t, e) = batch_cost(&segment, n, points, remainder, gpu_wrap);
         time += t;
         energy += e;
     }
@@ -348,6 +357,134 @@ mod tests {
             })
             .collect();
         InstrumentationPlan::new(points, rng.gen_range(0..platform.cpu_levels()))
+    }
+
+    /// `evaluate_plan` with the boot batch, the wrapped batch and the
+    /// remainder batch each priced separately, layer by layer: the two-call
+    /// form the reuse of batch one's price must reproduce bit for bit.
+    fn two_call_reference(
+        platform: &Platform,
+        graph: &Graph,
+        plan: &InstrumentationPlan,
+        batch: usize,
+        images: usize,
+    ) -> PlanEval {
+        let n = graph.num_layers();
+        let points = plan.points();
+        let cpu = plan.cpu_level();
+        let batch_cost = |size: usize, prefix_gpu: FreqLevel| {
+            let segment = |lo, hi, gpu| oracle::range_cost(platform, graph, lo, hi, size, gpu, cpu);
+            let first = points.first().map_or(n, |p| p.layer);
+            let (mut time, mut energy) = segment(0, first, prefix_gpu);
+            for (i, p) in points.iter().enumerate() {
+                let end = points.get(i + 1).map_or(n, |q| q.layer);
+                let (t, e) = segment(p.layer, end, p.gpu_level);
+                time += t;
+                energy += e;
+            }
+            (time, energy)
+        };
+        let gpu_boot = platform.gpu_table().max_level();
+        let cpu_boot = platform.cpu_table().max_level();
+        let gpu_wrap = points.last().map_or(gpu_boot, |p| p.gpu_level);
+        let full_batches = images / batch;
+        let remainder = images % batch;
+        let num_batches = full_batches + usize::from(remainder > 0);
+        let first_size = if full_batches > 0 { batch } else { remainder };
+        let (mut time, mut energy) = batch_cost(first_size, gpu_boot);
+        if full_batches > 1 {
+            let (t, e) = batch_cost(batch, gpu_wrap);
+            let reps = (full_batches - 1) as f64;
+            time += t * reps;
+            energy += e * reps;
+        }
+        if remainder > 0 && full_batches > 0 {
+            let (t, e) = batch_cost(remainder, gpu_wrap);
+            time += t;
+            energy += e;
+        }
+        let gpu_switches = switches_per_batch(points, gpu_boot)
+            + (num_batches - 1) * switches_per_batch(points, gpu_wrap);
+        let total_stall =
+            (gpu_switches + usize::from(cpu != cpu_boot)) as f64 * platform.dvfs_transition_cost();
+        time += total_stall;
+        energy += total_stall * platform.idle_power(gpu_boot, cpu_boot);
+        PlanEval {
+            time,
+            energy,
+            energy_efficiency: if energy > 0.0 {
+                images as f64 / energy
+            } else {
+                0.0
+            },
+            num_switches: gpu_switches,
+        }
+    }
+
+    fn assert_same_bits(got: PlanEval, want: PlanEval, what: &str) {
+        assert_eq!(got.time.to_bits(), want.time.to_bits(), "{what}: time");
+        assert_eq!(
+            got.energy.to_bits(),
+            want.energy.to_bits(),
+            "{what}: energy"
+        );
+        assert_eq!(
+            got.energy_efficiency.to_bits(),
+            want.energy_efficiency.to_bits(),
+            "{what}: efficiency"
+        );
+        assert_eq!(got.num_switches, want.num_switches, "{what}: switches");
+    }
+
+    #[test]
+    fn reused_and_table_priced_batches_are_bit_identical_to_two_calls() {
+        let mut graphs: Vec<Graph> = zoo::all_models().into_iter().map(|(_, b)| b()).collect();
+        graphs.extend(powerlens_dnn::random::generate_batch(
+            &powerlens_dnn::random::RandomDnnConfig::default(),
+            41,
+            8,
+        ));
+        for platform in [Platform::agx(), Platform::tx2()] {
+            let max = platform.gpu_table().max_level();
+            let cpu_max = platform.cpu_table().max_level();
+            for (k, g) in graphs.iter().enumerate() {
+                let n = g.num_layers();
+                // Planner-shaped plans (first point at layer 0, CPU at max),
+                // one at a lowered CPU level, and a random plan whose first
+                // point may sit deeper.
+                let plans = [
+                    InstrumentationPlan::new(
+                        vec![InstrumentationPoint {
+                            layer: 0,
+                            gpu_level: 5,
+                        }],
+                        cpu_max,
+                    ),
+                    two_block_plan(n, max),
+                    InstrumentationPlan::new(two_block_plan(n, 2).points().to_vec(), cpu_max),
+                    random_plan(g, &platform, k as u64),
+                ];
+                for (batch, images) in [(8, 48), (1, 1), (4, 19), (8, 8), (3, 25)] {
+                    let table = CostTable::new(&platform, g, batch);
+                    for (i, plan) in plans.iter().enumerate() {
+                        let what = format!(
+                            "{} {} plan {i} b{batch} i{images}",
+                            platform.name(),
+                            g.name()
+                        );
+                        let want = two_call_reference(&platform, g, plan, batch, images);
+                        assert_same_bits(
+                            evaluate_plan(&platform, g, plan, batch, images),
+                            want,
+                            &what,
+                        );
+                        let priced =
+                            evaluate_plan_priced(&platform, g, plan, batch, images, Some(&table));
+                        assert_same_bits(priced, want, &what);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

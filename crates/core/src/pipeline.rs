@@ -1,16 +1,18 @@
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use powerlens_cluster::{cluster_graph, DistanceCache, PowerView};
 use powerlens_dnn::Graph;
 use powerlens_features::GlobalFeatures;
-use powerlens_governors::oracle;
+use powerlens_governors::oracle::{self, CostTable};
 use powerlens_numeric::NumericError;
 use powerlens_obs as obs;
 use powerlens_platform::{FreqLevel, InstrumentationPlan, InstrumentationPoint, Platform};
 
-use crate::{evaluate_plan, SchemeSpace, TrainedModels};
+use crate::evaluate::evaluate_plan_priced;
+use crate::{SchemeSpace, TrainedModels};
 
 /// Errors produced by the planning pipeline.
 #[derive(Debug)]
@@ -110,6 +112,51 @@ pub struct PlanOutcome {
     pub timings: WorkflowTimings,
 }
 
+/// How many graphs' cost tables [`PowerLens::oracle_block_level`] keeps.
+const COST_MEMO_SLOTS: usize = 4;
+
+/// The cost tables [`PowerLens::oracle_block_level`] built most recently,
+/// newest first, keyed by [`Graph::fingerprint`]. The platform and batch a
+/// table depends on are fixed per planner, so the graph's fingerprint is
+/// the whole key. The lock guards lookups and inserts, never a table
+/// build, so concurrent callers on different graphs do not wait for each
+/// other.
+#[derive(Default)]
+struct CostMemo(Mutex<Vec<(u64, Arc<CostTable>)>>);
+
+impl CostMemo {
+    fn slots(&self) -> std::sync::MutexGuard<'_, Vec<(u64, Arc<CostTable>)>> {
+        // The slots hold no invariant a panicking holder could break.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get_or_build(&self, key: u64, build: impl FnOnce() -> CostTable) -> Arc<CostTable> {
+        if let Some((_, table)) = self.slots().iter().find(|(k, _)| *k == key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(build());
+        let mut slots = self.slots();
+        slots.retain(|(k, _)| *k != key);
+        slots.insert(0, (key, Arc::clone(&table)));
+        slots.truncate(COST_MEMO_SLOTS);
+        table
+    }
+}
+
+impl Clone for CostMemo {
+    fn clone(&self) -> Self {
+        CostMemo(Mutex::new(self.slots().clone()))
+    }
+}
+
+impl fmt::Debug for CostMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CostMemo")
+            .field("tables", &self.slots().len())
+            .finish()
+    }
+}
+
 /// The PowerLens planner: platform + configuration + (optionally) the two
 /// trained prediction models.
 ///
@@ -122,7 +169,9 @@ pub struct PowerLens<'p> {
     /// Opaque memo slot for content-addressing layers (see
     /// [`PowerLens::context_memo`]). Cloning carries the cached value along
     /// with the configuration it was derived from.
-    key_memo: std::sync::OnceLock<u64>,
+    key_memo: OnceLock<u64>,
+    /// Per-graph cost tables behind [`PowerLens::oracle_block_level`].
+    cost_memo: CostMemo,
 }
 
 impl<'p> PowerLens<'p> {
@@ -133,7 +182,8 @@ impl<'p> PowerLens<'p> {
             platform,
             config,
             models: None,
-            key_memo: std::sync::OnceLock::new(),
+            key_memo: OnceLock::new(),
+            cost_memo: CostMemo::default(),
         }
     }
 
@@ -147,7 +197,8 @@ impl<'p> PowerLens<'p> {
             platform,
             config,
             models: Some(models),
-            key_memo: std::sync::OnceLock::new(),
+            key_memo: OnceLock::new(),
+            cost_memo: CostMemo::default(),
         }
     }
 
@@ -181,16 +232,19 @@ impl<'p> PowerLens<'p> {
     }
 
     /// Oracle target frequency for one block (exhaustive sweep under the
-    /// latency slack).
+    /// latency slack), identical to [`oracle::best_level_for_range`] at the
+    /// configured batch.
+    ///
+    /// Reads the graph's [`CostTable`], built on the first call for that
+    /// graph and memoized per planner (the last few graphs, by
+    /// fingerprint), so asking for every block of a view prices each layer
+    /// once rather than once per block.
     pub fn oracle_block_level(&self, graph: &Graph, lo: usize, hi: usize) -> FreqLevel {
-        oracle::best_level_for_range(
-            self.platform,
-            graph,
-            lo,
-            hi,
-            self.config.batch,
-            self.config.slack,
-        )
+        self.cost_memo
+            .get_or_build(graph.fingerprint(), || {
+                CostTable::new(self.platform, graph, self.config.batch)
+            })
+            .best_level(lo, hi, self.config.slack)
     }
 
     /// Model-predicted target frequency for one block.
@@ -281,20 +335,24 @@ impl<'p> PowerLens<'p> {
     /// error-severity findings. Compiled out of release builds (see
     /// `docs/ARCHITECTURE.md`, "Lint gates").
     #[cfg(debug_assertions)]
-    fn debug_lint_gate(&self, graph: &Graph, outcome: &PlanOutcome) {
+    fn debug_lint_gate(
+        &self,
+        graph: &Graph,
+        outcome: &PlanOutcome,
+        oracle: &dyn Fn(usize, usize) -> FreqLevel,
+    ) {
         let config = powerlens_lint::LintConfig {
             max_blocks: self.config.max_blocks,
             ..powerlens_lint::LintConfig::default()
         };
         let mut report = powerlens_lint::lint_view(&outcome.view, Some(graph), &config);
-        let oracle = |lo: usize, hi: usize| self.oracle_block_level(graph, lo, hi);
         report.merge(powerlens_lint::lint_plan(
             &powerlens_lint::PlanContext {
                 plan: &outcome.plan,
                 platform: self.platform,
                 view: Some(&outcome.view),
                 graph: Some(graph),
-                oracle: Some(&oracle),
+                oracle: Some(oracle),
             },
             &config,
         ));
@@ -384,7 +442,9 @@ impl<'p> PowerLens<'p> {
             timings,
         };
         #[cfg(debug_assertions)]
-        self.debug_lint_gate(graph, &outcome);
+        self.debug_lint_gate(graph, &outcome, &|lo, hi| {
+            self.oracle_block_level(graph, lo, hi)
+        });
         Ok(outcome)
     }
 
@@ -393,10 +453,23 @@ impl<'p> PowerLens<'p> {
     /// best. This is the labelling routine of the dataset generator and the
     /// upper bound the trained models approximate.
     ///
+    /// Prices every layer at every GPU level once per call (a
+    /// [`CostTable`]); each scheme's per-block decisions and its plan
+    /// evaluation then read range sums from that table.
+    ///
     /// # Errors
     ///
     /// Propagates numeric errors from clustering.
     pub fn plan_oracle(&self, graph: &Graph) -> Result<PlanOutcome, PowerLensError> {
+        self.plan_oracle_priced(graph).map(|(outcome, _)| outcome)
+    }
+
+    /// [`PowerLens::plan_oracle`], also returning the cost table it priced
+    /// the graph with, for callers that go on to label more blocks.
+    pub(crate) fn plan_oracle_priced(
+        &self,
+        graph: &Graph,
+    ) -> Result<(PlanOutcome, CostTable), PowerLensError> {
         let _plan_span = obs::span("plan_oracle");
         let mut timings = WorkflowTimings::default();
         let t = Instant::now();
@@ -409,7 +482,9 @@ impl<'p> PowerLens<'p> {
         let search_start = Instant::now();
         let mut best: Option<(f64, usize, PowerView, InstrumentationPlan)> = None;
         let mut clustering_time = Duration::default();
-        let mut decision_time = Duration::default();
+        let t = Instant::now();
+        let table = CostTable::new(self.platform, graph, self.config.batch);
+        let mut decision_time = t.elapsed();
         // The distance matrix depends only on the shape parameters (alpha,
         // lambda, smooth_radius); the default scheme space varies only
         // ε/minPts, so one DistanceCache serves the whole sweep. A scheme
@@ -435,19 +510,20 @@ impl<'p> PowerLens<'p> {
             let t = Instant::now();
             let plan = {
                 let _s = obs::span("decision");
-                self.plan_from_view(&view, |lo, hi| self.oracle_block_level(graph, lo, hi))
+                self.plan_from_view(&view, |lo, hi| table.best_level(lo, hi, self.config.slack))
             };
             decision_time += t.elapsed();
             if obs::enabled() {
                 obs::histogram("plan.decide_ms", t.elapsed().as_secs_f64() * 1e3);
             }
 
-            let eval = evaluate_plan(
+            let eval = evaluate_plan_priced(
                 self.platform,
                 graph,
                 &plan,
                 self.config.batch,
                 self.config.label_images,
+                Some(&table),
             );
             // Prefer the coarser view on (near-)ties: identical EE with more
             // instrumentation points is strictly worse operationally.
@@ -481,15 +557,69 @@ impl<'p> PowerLens<'p> {
             timings,
         };
         #[cfg(debug_assertions)]
-        self.debug_lint_gate(graph, &outcome);
-        Ok(outcome)
+        self.debug_lint_gate(graph, &outcome, &|lo, hi| {
+            table.best_level(lo, hi, self.config.slack)
+        });
+        Ok((outcome, table))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate_plan;
     use powerlens_dnn::zoo;
+
+    #[test]
+    fn oracle_block_level_matches_the_sweep_through_a_bounded_memo() {
+        let p = Platform::tx2();
+        let pl = PowerLens::untrained(&p, PowerLensConfig::default());
+        let graphs = [
+            zoo::alexnet(),
+            zoo::vgg19(),
+            zoo::resnet34(),
+            zoo::mobilenet_v3(),
+            zoo::googlenet(),
+            zoo::alexnet(),
+        ];
+        for g in &graphs {
+            let n = g.num_layers();
+            for (lo, hi) in [(0, n), (0, n / 2), (n / 2, n), (n / 3, n / 3 + 2)] {
+                assert_eq!(
+                    pl.oracle_block_level(g, lo, hi),
+                    oracle::best_level_for_range(&p, g, lo, hi, 8, oracle::DEFAULT_SLACK),
+                    "{} {lo}..{hi}",
+                    g.name()
+                );
+            }
+        }
+        assert_eq!(pl.cost_memo.slots().len(), COST_MEMO_SLOTS);
+        // A clone carries the memo along.
+        assert_eq!(pl.clone().cost_memo.slots().len(), COST_MEMO_SLOTS);
+    }
+
+    #[test]
+    fn planner_is_shared_across_threads() {
+        fn assert_sync<T: Sync + Send>() {}
+        assert_sync::<PowerLens<'static>>();
+        let p = Platform::agx();
+        let pl = PowerLens::untrained(&p, PowerLensConfig::default());
+        let g = zoo::resnet34();
+        let n = g.num_layers();
+        let want = oracle::best_level_for_range(&p, &g, 0, n, 8, oracle::DEFAULT_SLACK);
+        // Both threads ask for the same graph at once, so both may build
+        // its table; the memo must still hold it once.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    assert_eq!(pl.oracle_block_level(&g, 0, n), want);
+                });
+            }
+        });
+        assert_eq!(pl.cost_memo.slots().len(), 1);
+    }
 
     #[test]
     fn untrained_plan_errors() {

@@ -39,7 +39,6 @@
 
 use powerlens_dnn::{Graph, Layer, OpKind};
 use powerlens_numeric::Matrix;
-use powerlens_par as par;
 
 /// Dimensionality of one depthwise (per-layer) feature vector.
 pub const DEPTHWISE_DIM: usize = 14;
@@ -123,54 +122,22 @@ pub fn layer_features(layer: &Layer) -> Vec<f64> {
     v
 }
 
-/// Minimum layer count before depthwise extraction fans out over the scoped
-/// thread pool. Extraction is called from inside dataset-generation workers,
-/// so small graphs stay sequential to avoid nested parallelism overhead.
-pub const PARALLEL_LAYER_THRESHOLD: usize = 256;
-
 /// Extracts the `num_layers x DEPTHWISE_DIM` depthwise feature matrix of a
 /// graph — the input of the power-behaviour similarity clustering
 /// (Algorithm 1's `X`).
 ///
-/// Graphs with at least [`PARALLEL_LAYER_THRESHOLD`] layers are extracted in
-/// parallel via [`powerlens_par`]; each row depends only on its own layer and
-/// rows are assembled in layer order, so the result is identical to the
-/// sequential path.
-///
-/// Rows are written straight into one flat `num_layers x DEPTHWISE_DIM`
-/// arena ([`layer_features_into`]) — sequentially in place, or one
-/// contiguous sub-arena per worker — so extraction performs O(workers)
-/// allocations, not one `Vec` per layer.
+/// Rows are written in layer order straight into one flat
+/// `num_layers x DEPTHWISE_DIM` arena ([`layer_features_into`]), so
+/// extraction performs one allocation, not one `Vec` per layer. It runs on
+/// the calling thread: extraction is a sub-millisecond step inside one
+/// plan, and callers parallelize across graphs instead.
 pub fn depthwise_features(graph: &Graph) -> Matrix {
     let layers = graph.layers();
-    let n = layers.len();
-    if n < PARALLEL_LAYER_THRESHOLD {
-        let mut data = vec![0.0; n * DEPTHWISE_DIM];
-        for (l, slot) in layers.iter().zip(data.chunks_exact_mut(DEPTHWISE_DIM)) {
-            layer_features_into(l, slot);
-        }
-        return Matrix::from_vec(n, DEPTHWISE_DIM, data).expect("graphs have at least one layer");
+    let mut data = vec![0.0; layers.len() * DEPTHWISE_DIM];
+    for (l, slot) in layers.iter().zip(data.chunks_exact_mut(DEPTHWISE_DIM)) {
+        layer_features_into(l, slot);
     }
-    // Parallel path: each worker fills one contiguous chunk-sized arena;
-    // chunks concatenate back in layer order, identical to the sequential
-    // fill.
-    let (workers, chunk) = par::plan(n, 0);
-    let chunks: Vec<Vec<f64>> = par::map_slice(
-        &layers.chunks(chunk).collect::<Vec<_>>(),
-        workers,
-        |_, slice| {
-            let mut data = vec![0.0; slice.len() * DEPTHWISE_DIM];
-            for (l, slot) in slice.iter().zip(data.chunks_exact_mut(DEPTHWISE_DIM)) {
-                layer_features_into(l, slot);
-            }
-            data
-        },
-    );
-    let mut data = Vec::with_capacity(n * DEPTHWISE_DIM);
-    for c in chunks {
-        data.extend_from_slice(&c);
-    }
-    Matrix::from_vec(n, DEPTHWISE_DIM, data).expect("graphs have at least one layer")
+    Matrix::from_vec(layers.len(), DEPTHWISE_DIM, data).expect("graphs have at least one layer")
 }
 
 /// Global features of a network or power block: macro structure plus
@@ -277,9 +244,8 @@ mod tests {
 
     #[test]
     fn depthwise_rows_match_per_layer_extraction() {
-        // Covers both the sequential and (for graphs at or above the layer
-        // threshold) parallel assembly paths: row i must always equal the
-        // standalone per-layer extraction, bit for bit.
+        // Row i of the flat arena must equal the standalone per-layer
+        // extraction, bit for bit.
         for (name, build) in zoo::all_models() {
             let g = build();
             let x = depthwise_features(&g);

@@ -1,8 +1,14 @@
 //! Exhaustive-search oracle: the labelling backend of the paper's dataset
 //! generator ("Each block in the power view is deployed at all frequencies
 //! to select test data that achieves the optimal energy efficiency", §2.2).
+//!
+//! Every price here is a sum of per-layer costs in layer order. A layer's
+//! cost at one operating point never changes within a plan, so callers that
+//! price many ranges of one graph (the planner's scheme sweep, dataset
+//! labelling) build a [`CostTable`] once and read range sums from it; the
+//! sums are bit-identical to [`eval_range`]'s.
 
-use powerlens_dnn::Graph;
+use powerlens_dnn::{Graph, Layer};
 use powerlens_platform::{FreqLevel, Platform};
 
 /// Outcome of evaluating one layer range at one frequency level.
@@ -19,9 +25,56 @@ pub struct RangeEval {
     pub efficiency: f64,
 }
 
+impl RangeEval {
+    fn new(gpu_level: FreqLevel, time: f64, energy: f64) -> Self {
+        RangeEval {
+            gpu_level,
+            time,
+            energy,
+            efficiency: if energy > 0.0 { 1.0 / energy } else { 0.0 },
+        }
+    }
+}
+
+/// Time (seconds) and energy (joules) of one layer run once at fixed
+/// levels: the layer's roofline time and its average board power times
+/// that time. The one per-layer price [`range_cost`] and the [`CostTable`]
+/// sum.
+fn layer_cost(
+    platform: &Platform,
+    layer: &Layer,
+    batch: usize,
+    gpu_level: FreqLevel,
+    cpu_level: FreqLevel,
+) -> (f64, f64) {
+    let t = platform.layer_timing(layer, batch, gpu_level, cpu_level);
+    (
+        t.total,
+        platform.layer_power(&t, gpu_level, cpu_level) * t.total,
+    )
+}
+
+/// Time and energy of layers `lo..hi` run once at fixed levels, summed in
+/// layer order (the simulator's order). An empty range costs nothing.
+pub fn range_cost(
+    platform: &Platform,
+    graph: &Graph,
+    lo: usize,
+    hi: usize,
+    batch: usize,
+    gpu_level: FreqLevel,
+    cpu_level: FreqLevel,
+) -> (f64, f64) {
+    graph.layers()[lo..hi]
+        .iter()
+        .fold((0.0, 0.0), |(time, energy), layer| {
+            let (t, e) = layer_cost(platform, layer, batch, gpu_level, cpu_level);
+            (time + t, energy + e)
+        })
+}
+
 /// Analytically evaluates the layer range `lo..hi` of `graph` at a fixed GPU
-/// level (CPU pinned at max), without running the full simulator — the inner
-/// loop of dataset labelling, called millions of times.
+/// level (CPU pinned at max), without running the full simulator.
 ///
 /// # Panics
 ///
@@ -39,19 +92,8 @@ pub fn eval_range(
         "invalid range {lo}..{hi}"
     );
     let cpu = platform.cpu_table().max_level();
-    let mut time = 0.0;
-    let mut energy = 0.0;
-    for layer in &graph.layers()[lo..hi] {
-        let t = platform.layer_timing(layer, batch, gpu_level, cpu);
-        time += t.total;
-        energy += platform.layer_power(&t, gpu_level, cpu) * t.total;
-    }
-    RangeEval {
-        gpu_level,
-        time,
-        energy,
-        efficiency: if energy > 0.0 { 1.0 / energy } else { 0.0 },
-    }
+    let (time, energy) = range_cost(platform, graph, lo, hi, batch, gpu_level, cpu);
+    RangeEval::new(gpu_level, time, energy)
 }
 
 /// Sweeps every GPU level for the range and returns all evaluations
@@ -81,16 +123,22 @@ pub fn best_level_for_range(
     batch: usize,
     slack: f64,
 ) -> FreqLevel {
-    let evals = sweep_range(platform, graph, lo, hi, batch);
-    let t_max_level = evals[evals.len() - 1].time;
-    let budget = t_max_level * slack;
+    pick_level(&sweep_range(platform, graph, lo, hi, batch), slack)
+}
+
+/// The selection rule of [`best_level_for_range`] over a full ascending
+/// sweep: the first level of minimum energy among those within the latency
+/// budget.
+fn pick_level(evals: &[RangeEval], slack: f64) -> FreqLevel {
+    let top = evals[evals.len() - 1];
+    let budget = top.time * slack;
     evals
         .iter()
         .filter(|e| e.time <= budget)
         .min_by(|a, b| a.energy.partial_cmp(&b.energy).expect("finite energy"))
         // If nothing meets the budget (cannot happen for slack >= 1), fall
         // back to the maximum level.
-        .map_or(platform.gpu_table().max_level(), |e| e.gpu_level)
+        .map_or(top.gpu_level, |e| e.gpu_level)
 }
 
 /// The best *single* static level for the whole graph under the same latency
@@ -102,6 +150,110 @@ pub fn best_static_level(
     slack: f64,
 ) -> FreqLevel {
     best_level_for_range(platform, graph, 0, graph.num_layers(), batch, slack)
+}
+
+/// Every layer's time and energy at every GPU level (CPU pinned at max)
+/// for one batch size: the sweep-invariant part of pricing a graph.
+///
+/// Range sums add the same per-layer values in the same layer order as
+/// [`range_cost`], so [`CostTable::range`] and [`CostTable::best_level`]
+/// are bit-identical to [`range_cost`] and [`best_level_for_range`] at the
+/// table's batch. Rows are layer-major, so a sweep adds each layer's levels
+/// side by side.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostTable {
+    batch: usize,
+    levels: usize,
+    /// `time[i * levels + g]`: layer `i`'s seconds at GPU level `g`.
+    time: Vec<f64>,
+    /// `energy[i * levels + g]`: layer `i`'s joules at GPU level `g`.
+    energy: Vec<f64>,
+}
+
+impl CostTable {
+    /// Prices every layer of `graph` at every GPU level of `platform`.
+    pub fn new(platform: &Platform, graph: &Graph, batch: usize) -> Self {
+        let levels = platform.gpu_levels();
+        let cpu = platform.cpu_table().max_level();
+        let cells = graph.num_layers() * levels;
+        let mut time = Vec::with_capacity(cells);
+        let mut energy = Vec::with_capacity(cells);
+        for layer in graph.layers() {
+            for g in 0..levels {
+                let (t, e) = layer_cost(platform, layer, batch, g, cpu);
+                time.push(t);
+                energy.push(e);
+            }
+        }
+        CostTable {
+            batch,
+            levels,
+            time,
+            energy,
+        }
+    }
+
+    /// Layers priced.
+    fn num_layers(&self) -> usize {
+        self.time.len() / self.levels
+    }
+
+    /// Batch size every cell was priced at.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Time and energy of layers `lo..hi` at `gpu_level`: [`range_cost`]
+    /// at the table's batch with the CPU at max. An empty range costs
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty range ends past the last layer.
+    pub fn range(&self, lo: usize, hi: usize, gpu_level: FreqLevel) -> (f64, f64) {
+        (lo..hi).fold((0.0, 0.0), |(time, energy), i| {
+            let cell = i * self.levels + gpu_level;
+            (time + self.time[cell], energy + self.energy[cell])
+        })
+    }
+
+    /// [`sweep_range`] from the table: every level, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or out of bounds.
+    fn sweep(&self, lo: usize, hi: usize) -> Vec<RangeEval> {
+        assert!(
+            lo < hi && hi <= self.num_layers(),
+            "invalid range {lo}..{hi}"
+        );
+        let cells = lo * self.levels..hi * self.levels;
+        let mut time = vec![0.0; self.levels];
+        let mut energy = vec![0.0; self.levels];
+        let rows = self.time[cells.clone()]
+            .chunks_exact(self.levels)
+            .zip(self.energy[cells].chunks_exact(self.levels));
+        for (t_row, e_row) in rows {
+            for (acc, t) in time.iter_mut().zip(t_row) {
+                *acc += t;
+            }
+            for (acc, e) in energy.iter_mut().zip(e_row) {
+                *acc += e;
+            }
+        }
+        (0..self.levels)
+            .map(|g| RangeEval::new(g, time[g], energy[g]))
+            .collect()
+    }
+
+    /// [`best_level_for_range`] from the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or out of bounds.
+    pub fn best_level(&self, lo: usize, hi: usize, slack: f64) -> FreqLevel {
+        pick_level(&self.sweep(lo, hi), slack)
+    }
 }
 
 /// Default latency slack used throughout the reproduction: unconstrained,
@@ -167,6 +319,59 @@ mod tests {
             fc_level < conv_level,
             "fc block level {fc_level} should be below conv block level {conv_level}"
         );
+    }
+
+    #[test]
+    fn cost_table_sums_are_bit_identical_to_eval_range() {
+        for p in [Platform::agx(), Platform::tx2()] {
+            for g in [zoo::alexnet(), zoo::mobilenet_v3(), zoo::vgg19()] {
+                let n = g.num_layers();
+                for batch in [1, 8] {
+                    let table = CostTable::new(&p, &g, batch);
+                    assert_eq!(table.num_layers(), n);
+                    let step = (n / 7).max(1);
+                    for lo in (0..n).step_by(step) {
+                        for hi in (lo + 1..=n).step_by(step) {
+                            let sweep = table.sweep(lo, hi);
+                            assert_eq!(sweep, sweep_range(&p, &g, lo, hi, batch));
+                            for e in &sweep {
+                                let want = eval_range(&p, &g, lo, hi, batch, e.gpu_level);
+                                let (t, en) = table.range(lo, hi, e.gpu_level);
+                                assert_eq!(t.to_bits(), want.time.to_bits(), "{lo}..{hi}");
+                                assert_eq!(en.to_bits(), want.energy.to_bits(), "{lo}..{hi}");
+                                assert_eq!(e.time.to_bits(), want.time.to_bits());
+                                assert_eq!(e.energy.to_bits(), want.energy.to_bits());
+                            }
+                            for slack in [DEFAULT_SLACK, 1.0, 1.2] {
+                                assert_eq!(
+                                    table.best_level(lo, hi, slack),
+                                    best_level_for_range(&p, &g, lo, hi, batch, slack),
+                                    "{} {lo}..{hi} slack {slack}",
+                                    g.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_ranges_cost_nothing() {
+        let p = Platform::tx2();
+        let g = zoo::alexnet();
+        let table = CostTable::new(&p, &g, 4);
+        assert_eq!(table.range(5, 5, 3), (0.0, 0.0));
+        assert_eq!(range_cost(&p, &g, 5, 5, 4, 3, 0), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid range")]
+    fn empty_table_sweep_rejected() {
+        let p = Platform::agx();
+        let g = zoo::alexnet();
+        CostTable::new(&p, &g, 1).sweep(3, 3);
     }
 
     #[test]

@@ -28,6 +28,10 @@ pub struct FrequencyTable {
     /// interpolation. Published Jetson V/f tables are convex: voltage ramps
     /// steeply near the top of the frequency range (`v_exponent > 1`).
     v_exponent: f64,
+    /// [`FrequencyTable::voltage`] at every level, derived from the fields
+    /// above whenever they are set: the power model reads a voltage for
+    /// every layer it prices, and the interpolation costs a `powf`.
+    volts: Vec<f64>,
 }
 
 impl FrequencyTable {
@@ -50,7 +54,9 @@ impl FrequencyTable {
             v_min,
             v_max,
             v_exponent: 1.0,
+            volts: Vec::new(),
         }
+        .with_voltage_exponent(1.0)
     }
 
     /// Sets the convexity of the voltage curve (see the struct docs).
@@ -61,6 +67,18 @@ impl FrequencyTable {
     pub fn with_voltage_exponent(mut self, exponent: f64) -> Self {
         assert!(exponent > 0.0, "voltage exponent must be positive");
         self.v_exponent = exponent;
+        let (lo, hi) = (self.freqs_hz[0], self.freqs_hz[self.freqs_hz.len() - 1]);
+        self.volts = if self.freqs_hz.len() == 1 {
+            vec![self.v_max]
+        } else {
+            self.freqs_hz
+                .iter()
+                .map(|f| {
+                    let norm = (f - lo) / (hi - lo);
+                    self.v_min + (self.v_max - self.v_min) * norm.powf(exponent)
+                })
+                .collect()
+        };
         self
     }
 
@@ -117,16 +135,15 @@ impl FrequencyTable {
         self.freqs_hz[level] / 1e6
     }
 
-    /// Operating voltage at `level` (linear interpolation across the table).
+    /// Operating voltage at `level`: `v_min + (v_max - v_min) · norm^e`,
+    /// with `norm` the level's frequency normalized over the table's range
+    /// and `e` the voltage exponent (1 = linear interpolation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is out of range.
     pub fn voltage(&self, level: FreqLevel) -> f64 {
-        if self.freqs_hz.len() == 1 {
-            return self.v_max;
-        }
-        let f = self.freqs_hz[level];
-        let lo = self.freqs_hz[0];
-        let hi = self.freqs_hz[self.freqs_hz.len() - 1];
-        let norm = (f - lo) / (hi - lo);
-        self.v_min + (self.v_max - self.v_min) * norm.powf(self.v_exponent)
+        self.volts[level]
     }
 
     /// Highest level index.

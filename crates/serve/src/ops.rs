@@ -174,9 +174,8 @@ pub fn lint_model(platform: &Platform, graph: &Graph, batch: usize) -> Result<Li
     let config = powerlens_lint::LintConfig::default();
     let view = cluster_graph(graph, &ClusterParams::default())
         .map_err(|e| format!("clustering {} failed: {e}", graph.name()))?;
-    let oracle_fn = |lo: usize, hi: usize| {
-        oracle::best_level_for_range(platform, graph, lo, hi, batch, oracle::DEFAULT_SLACK)
-    };
+    let table = oracle::CostTable::new(platform, graph, batch);
+    let oracle_fn = |lo: usize, hi: usize| table.best_level(lo, hi, oracle::DEFAULT_SLACK);
     let points = view
         .blocks()
         .iter()

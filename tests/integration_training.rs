@@ -1,13 +1,29 @@
 //! Integration tests for the model-training phase (§2.2): dataset
 //! generation -> training -> model-driven planning on unseen networks.
 
+use std::sync::OnceLock;
+
 use powerlens::dataset::{generate, DatasetConfig};
 use powerlens::training::{train_models, TrainedModels, TrainingConfig};
 use powerlens::{PowerLens, PowerLensConfig};
 use powerlens_dnn::zoo;
 use powerlens_platform::Platform;
 
-fn small_models(platform: &Platform) -> TrainedModels {
+/// Models trained on an 80-network dataset for `platform`, trained once per
+/// platform and shared by every test here: training dominates this file's
+/// run time, and the tests only read the models.
+fn small_models(platform: &Platform) -> &'static TrainedModels {
+    static AGX: OnceLock<TrainedModels> = OnceLock::new();
+    static TX2: OnceLock<TrainedModels> = OnceLock::new();
+    let slot = match platform.name() {
+        "agx" => &AGX,
+        "tx2" => &TX2,
+        other => panic!("no shared fixture for platform {other}"),
+    };
+    slot.get_or_init(|| train_small_models(platform))
+}
+
+fn train_small_models(platform: &Platform) -> TrainedModels {
     let config = PowerLensConfig::default();
     let ds = generate(
         platform,
@@ -29,7 +45,7 @@ fn small_models(platform: &Platform) -> TrainedModels {
 #[test]
 fn trained_planner_plans_every_zoo_model() {
     let platform = Platform::agx();
-    let models = small_models(&platform);
+    let models = small_models(&platform).clone();
     let pl = PowerLens::with_models(&platform, PowerLensConfig::default(), models);
     for (name, build) in zoo::all_models() {
         let g = build();
@@ -84,7 +100,7 @@ fn model_predictions_are_close_to_oracle_choices() {
     // The learned per-block frequency should land within two levels of the
     // exhaustive oracle most of the time (the paper: "one or two levels").
     let platform = Platform::agx();
-    let models = small_models(&platform);
+    let models = small_models(&platform).clone();
     let pl = PowerLens::with_models(&platform, PowerLensConfig::default(), models);
     let oracle_pl = PowerLens::untrained(&platform, PowerLensConfig::default());
     let mut close = 0;
