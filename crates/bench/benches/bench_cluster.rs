@@ -50,10 +50,12 @@ fn bench_full_algorithm1(c: &mut Criterion) {
 }
 
 fn bench_sweep_incremental(c: &mut Criterion) {
-    // The sweep-incrementality bar: re-thresholding a 15-point ε×minPts
-    // grid through one DistanceCache should cost less than 2x a single
-    // from-scratch `cluster_graph` call, because the distance matrix (the
-    // dominant cost) is paid once and DBSCAN is cheap.
+    // The re-threshold cost of one cold plan: the 14-scheme production
+    // grid (7 ε × minPts 3 and 6) through one DistanceCache, against a
+    // single from-scratch `cluster_graph` call. On resnet152 the sweep
+    // measured 1.2× the single call (medians of five runs on a 2-vCPU VM;
+    // single runs read 0.8–2.0× on that noisy host). Before the neighbour
+    // index, whose queries read a region instead of a row, it read 2.3×.
     let g = zoo::resnet152();
     let shape = ClusterParams::default();
     let mut group = c.benchmark_group("cluster_sweep");
@@ -61,12 +63,12 @@ fn bench_sweep_incremental(c: &mut Criterion) {
     group.bench_function("from_scratch_single", |b| {
         b.iter(|| cluster_graph(black_box(&g), &shape).unwrap())
     });
-    group.bench_function("cached_15_point_sweep", |b| {
+    group.bench_function("cached_14_scheme_sweep", |b| {
         b.iter(|| {
             let cache = DistanceCache::build(black_box(&g), &shape).unwrap();
             let mut blocks = 0usize;
-            for eps in [0.05, 0.10, 0.15, 0.25, 0.40] {
-                for min_pts in [2usize, 4, 6] {
+            for eps in [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40] {
+                for min_pts in [3usize, 6] {
                     let params = ClusterParams {
                         epsilon: eps,
                         min_pts,

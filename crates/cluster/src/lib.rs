@@ -469,12 +469,18 @@ pub fn process_clusters(labels: &[Option<usize>], min_len: usize) -> PowerView {
 /// The matrix depends only on the features and on the *shape* parameters
 /// (`alpha`, `lambda`, `smooth_radius`); the DBSCAN parameters (`epsilon`,
 /// `min_pts`) only threshold it. A hyperparameter sweep — `plan_oracle`
-/// scoring every scheme, or dataset labeling walking the scheme space —
-/// therefore builds one `DistanceCache` and calls [`DistanceCache::cluster`]
-/// per point, paying the O(n·d² + n²·d) distance cost once instead of once
-/// per point. [`cluster_graph`] is exactly `build` + `cluster`, so cached
-/// sweeps are result-identical to from-scratch calls (see the
-/// sweep-incrementality property test).
+/// scoring every scheme — therefore builds one `DistanceCache` and calls
+/// [`DistanceCache::cluster`] per point, paying the O(n·d² + n²·d)
+/// distance cost once instead of once per point. [`cluster_graph`] is
+/// exactly `build` + `cluster`, so cached sweeps are result-identical to
+/// from-scratch calls (see the sweep-incrementality property test).
+///
+/// Next to the matrix the cache keeps a neighbour index: every row's
+/// columns sorted by distance bucket, built once with the matrix. Each
+/// ε-neighbourhood a re-threshold asks for is then a row prefix found by
+/// binary search plus one exactly-checked tie bucket, so a query costs the
+/// size of its region, not a full row. The index takes 3 bytes per pair
+/// on top of the matrix's 8, and caps a cache at 65,536 layers.
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     num_layers: usize,
@@ -483,59 +489,139 @@ pub struct DistanceCache {
     lambda: f64,
     smooth_radius: usize,
     dist: Matrix,
-    /// Quantized distance screen: `screen[i * n + j]` is the bucket of
-    /// `dist[(i, j)]` under [`quant_bucket`]. Region queries compare
-    /// buckets first — one byte per pair instead of eight, so a sweep's
-    /// repeated full-matrix scans stay cache-resident — and only fall back
-    /// to the exact `f64` on bucket ties, which keeps the screen
-    /// *bit-exact* with respect to `d <= epsilon`.
-    screen: Vec<u8>,
+    index: NeighbourIndex,
 }
 
-/// Bucket width divisor for the quantized screen. The blended distance is
+/// Most layers a [`DistanceCache`] holds: its [`NeighbourIndex`] stores
+/// columns as `u16`.
+const MAX_LAYERS: usize = 1 << 16;
+
+/// Bucket width divisor of [`quant_bucket`]. The blended distance is
 /// bounded by `alpha + (1 - alpha) = 1`, so 170 buckets per unit spreads
 /// real distances across ~170 of the 256 buckets with saturation headroom.
 const QUANT_SCALE: f64 = 170.0;
 
-/// Maps a distance to its screen bucket. Saturating `as` casts make this
-/// total: anything at or above 255/170 ≈ 1.5 — including `+inf` — lands in
-/// bucket 255, and NaN (only reachable through `from_parts_unchecked`) is
-/// sent there explicitly so it can never be claimed "definitely within ε"
-/// (`NaN <= eps` is false in the exact comparison).
+/// Maps a distance to its index bucket: `d·170` truncated and saturated
+/// into `0..=255` by the `as` cast, so every negative distance and `-inf`
+/// land in bucket 0 and everything at or above 255/170 ≈ 1.5, `+inf`
+/// included, in bucket 255. NaN (only reachable through
+/// `from_parts_unchecked`) is sent to bucket 255 explicitly, where no
+/// prefix can claim it.
 ///
-/// Exactness of the three-way screen, for `b = quant_bucket(d)` and
-/// `eb = quant_bucket(eps)`:
-/// - `b < eb`: `d·c < b + 1 <= eb <= eps·c`, so `d < eps` — definitely in.
-/// - `b > eb` (so `eb < 255`): `eps·c < eb + 1 <= min(b, 255) <= d·c` (or
-///   `d` is non-finite), so `d > eps` — definitely out.
-/// - `b == eb`: undecided; compare the exact `f64`.
+/// Over non-NaN values the map is monotone (rounding `d·170` and the
+/// saturating cast both are), which is all the index's exactness needs:
+/// for `b = quant_bucket(d)` and ε's bucket `eb`,
+/// - `b < eb` implies `d < ε` — definitely in, read as the row prefix;
+/// - `b > eb` implies `d > ε` — definitely out, never read;
+/// - `b == eb` is undecided, so the tie bucket alone compares `d <= ε`.
+///
+/// A NaN entry sits in bucket 255 and fails that comparison, and a NaN ε
+/// splits at bucket 0 (see [`dbscan_scan`]), so neither admits a pair.
 fn quant_bucket(d: f64) -> u8 {
-    if d.is_finite() {
-        (d * QUANT_SCALE) as u8
+    if d.is_nan() {
+        u8::MAX
     } else {
-        255
+        (d * QUANT_SCALE) as u8
     }
 }
 
-fn build_screen(dist: &Matrix) -> Vec<u8> {
-    let n = dist.rows();
-    let mut screen = Vec::with_capacity(n * dist.cols());
-    for i in 0..n {
-        screen.extend((0..dist.cols()).map(|j| quant_bucket(dist[(i, j)])));
+/// Every row of a distance matrix with its columns counting-sorted by
+/// [`quant_bucket`], built once per matrix and read by every re-threshold.
+///
+/// Row `i` owns entries `i·n..(i+1)·n` of both arrays: `cols` lists the
+/// row's columns in ascending bucket order (ascending column within one
+/// bucket, as the counting sort is stable), and `buckets` holds each
+/// entry's bucket, so the entries below a bucket form a prefix that a
+/// binary search finds. That is 3 bytes per pair; columns are `u16`, which
+/// caps a matrix at [`MAX_LAYERS`] rows.
+#[derive(Debug, Clone)]
+struct NeighbourIndex {
+    n: usize,
+    buckets: Vec<u8>,
+    cols: Vec<u16>,
+}
+
+impl NeighbourIndex {
+    /// Indexes the leading `n × n` block of `dist`, `n = dist.rows()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist` has more than [`MAX_LAYERS`] rows or fewer columns
+    /// than rows.
+    fn build(dist: &Matrix) -> Self {
+        let n = dist.rows();
+        assert!(
+            n <= MAX_LAYERS,
+            "a distance index holds at most {MAX_LAYERS} rows, got {n}"
+        );
+        let mut buckets = vec![0u8; n * n];
+        let mut cols = vec![0u16; n * n];
+        let mut row_buckets = vec![0u8; n];
+        for i in 0..n {
+            // Counts per bucket, then each bucket's next free slot.
+            let mut next = [0u32; 256];
+            for (b, &d) in row_buckets.iter_mut().zip(&dist.row(i)[..n]) {
+                *b = quant_bucket(d);
+                next[usize::from(*b)] += 1;
+            }
+            let mut start = 0u32;
+            for slot in next.iter_mut() {
+                let count = *slot;
+                *slot = start;
+                start += count;
+            }
+            let row = i * n;
+            for (j, &b) in row_buckets.iter().enumerate() {
+                let k = row + next[usize::from(b)] as usize;
+                next[usize::from(b)] += 1;
+                buckets[k] = b;
+                cols[k] = j as u16;
+            }
+        }
+        NeighbourIndex { n, buckets, cols }
     }
-    screen
+
+    /// Row `i`'s ε-neighbourhood, split in two: the returned prefix holds
+    /// the columns whose bucket lies below `eps_bucket`, and `ties` is
+    /// refilled with the tie-bucket columns `j` that pass `dist[(i, j)] <=
+    /// epsilon`.
+    fn region<'a>(
+        &'a self,
+        dist: &Matrix,
+        i: usize,
+        epsilon: f64,
+        eps_bucket: u8,
+        ties: &mut Vec<u16>,
+    ) -> &'a [u16] {
+        let row = i * self.n..(i + 1) * self.n;
+        let buckets = &self.buckets[row.clone()];
+        let cols = &self.cols[row];
+        let below = buckets.partition_point(|&b| b < eps_bucket);
+        let d = dist.row(i);
+        ties.clear();
+        ties.extend(
+            buckets[below..]
+                .iter()
+                .zip(&cols[below..])
+                .take_while(|&(&b, _)| b == eps_bucket)
+                .map(|(_, &j)| j)
+                .filter(|&j| d[usize::from(j)] <= epsilon),
+        );
+        &cols[..below]
+    }
 }
 
 /// Sweep-tuned [`dbscan`]: identical labels, restructured for the many
 /// re-thresholds a [`DistanceCache`] serves. Three changes over the
 /// reference:
 ///
-/// - **Region queries screen on quantized buckets** ([`quant_bucket`]),
-///   touching one byte per pair instead of eight and falling back to the
-///   exact `f64` only on bucket ties — bit-exact, but the sweep's repeated
-///   full scans read a cache-resident byte array.
-/// - **Region queries reuse one scratch buffer** instead of allocating a
-///   fresh `Vec` per query.
+/// - **Region queries read the [`NeighbourIndex`]**: a binary search on
+///   the row's sorted buckets finds the prefix that lies below ε's bucket,
+///   and only the tie bucket compares the exact `f64`. A query touches its
+///   region plus `log n` bytes instead of a full row, and stays bit-exact
+///   with respect to `d <= epsilon` (see [`quant_bucket`]).
+/// - **Region queries reuse one scratch buffer** for the tie bucket
+///   instead of allocating a fresh `Vec` per query.
 /// - **Adoption happens at discovery and each point enters the queue at
 ///   most once**, instead of pushing whole neighbour lists (with
 ///   duplicates) and labelling at pop time. Equivalent, because within one
@@ -547,70 +633,71 @@ fn build_screen(dist: &Matrix) -> Vec<u8> {
 /// DBSCAN's outcome depends only on the *membership* of each
 /// ε-neighbourhood (core status, core-core connectivity, and
 /// first-reaching-cluster adoption are all set-level properties, and
-/// clusters are discovered in ascending seed order either way), so both
-/// implementations agree exactly — pinned across an ε×minPts grid by the
-/// `distance_cache_sweep_equals_from_scratch` property test, which
-/// compares every cached re-threshold against plain [`dbscan`] +
-/// [`process_clusters`].
-fn dbscan_scan(dist: &Matrix, screen: &[u8], epsilon: f64, min_pts: usize) -> Vec<Option<usize>> {
-    let n = dist.rows();
-    let stride = dist.cols();
-    let eps_bucket = quant_bucket(epsilon);
+/// clusters are discovered in ascending seed order either way), so the
+/// bucket order in which the index lists a region changes no label. Both
+/// implementations agree exactly — pinned across the production ε×minPts
+/// grid by the `distance_cache_sweep_equals_from_scratch` property test
+/// and on bucket edges, ties and non-finite values by
+/// `index_matches_dbscan_on_edge_values`, which compare every cached
+/// re-threshold against plain [`dbscan`] + [`process_clusters`].
+fn dbscan_scan(
+    dist: &Matrix,
+    index: &NeighbourIndex,
+    epsilon: f64,
+    min_pts: usize,
+) -> Vec<Option<usize>> {
+    let n = index.n;
+    // A NaN ε splits at bucket 0, whose exact check fails for every entry.
+    let eps_bucket = if epsilon.is_nan() {
+        0
+    } else {
+        quant_bucket(epsilon)
+    };
     let mut labels: Vec<Option<usize>> = vec![None; n];
     let mut visited = vec![false; n];
     let mut cluster = 0;
     let mut expansions: u64 = 0;
-    let mut queue: Vec<u32> = Vec::new();
-    let mut region: Vec<u32> = Vec::with_capacity(n);
-    // Each point is queried exactly once per run (either as an outer-loop
-    // seed or when popped from the queue), so a run reads every screen row
-    // once — the byte screen, not the f64 matrix, is the memory floor.
-    let query = |i: usize, region: &mut Vec<u32>| {
-        region.clear();
-        let row = &screen[i * stride..i * stride + n];
-        for (j, &b) in row.iter().enumerate() {
-            if b < eps_bucket || (b == eps_bucket && dist[(i, j)] <= epsilon) {
-                region.push(j as u32);
-            }
-        }
-    };
-    let absorb = |r: u32,
+    let mut queue: Vec<u16> = Vec::new();
+    let mut ties: Vec<u16> = Vec::new();
+    let absorb = |region: &[u16],
                   cluster: usize,
                   labels: &mut [Option<usize>],
                   visited: &mut [bool],
-                  queue: &mut Vec<u32>| {
-        let r = r as usize;
-        if labels[r].is_none() {
-            labels[r] = Some(cluster);
-        }
-        if !visited[r] {
-            visited[r] = true;
-            queue.push(r as u32);
+                  queue: &mut Vec<u16>| {
+        for &r in region {
+            let r = usize::from(r);
+            if labels[r].is_none() {
+                labels[r] = Some(cluster);
+            }
+            if !visited[r] {
+                visited[r] = true;
+                queue.push(r as u16);
+            }
         }
     };
+    // Each point is queried exactly once per run (either as an outer-loop
+    // seed or when popped from the queue).
     for i in 0..n {
         if visited[i] {
             continue;
         }
         visited[i] = true;
-        query(i, &mut region);
-        if region.len() < min_pts {
+        let below = index.region(dist, i, epsilon, eps_bucket, &mut ties);
+        if below.len() + ties.len() < min_pts {
             continue; // noise (may be adopted by a later cluster)
         }
         labels[i] = Some(cluster);
         queue.clear();
-        for &r in &region {
-            absorb(r, cluster, &mut labels, &mut visited, &mut queue);
-        }
+        absorb(below, cluster, &mut labels, &mut visited, &mut queue);
+        absorb(&ties, cluster, &mut labels, &mut visited, &mut queue);
         while let Some(q) = queue.pop() {
             expansions += 1;
-            query(q as usize, &mut region);
-            if region.len() < min_pts {
+            let below = index.region(dist, usize::from(q), epsilon, eps_bucket, &mut ties);
+            if below.len() + ties.len() < min_pts {
                 continue; // border point: adopted, never expanded
             }
-            for &r in &region {
-                absorb(r, cluster, &mut labels, &mut visited, &mut queue);
-            }
+            absorb(below, cluster, &mut labels, &mut visited, &mut queue);
+            absorb(&ties, cluster, &mut labels, &mut visited, &mut queue);
         }
         cluster += 1;
     }
@@ -632,7 +719,9 @@ impl DistanceCache {
     ///
     /// # Errors
     ///
-    /// Propagates numeric errors from the distance computation.
+    /// [`NumericError::TooLarge`] for a graph of more than 65,536 layers,
+    /// before the distance matrix is allocated; otherwise propagates
+    /// numeric errors from the distance computation.
     pub fn build(graph: &Graph, params: &ClusterParams) -> Result<Self, NumericError> {
         let started = Instant::now();
         let x = depthwise_features(graph);
@@ -650,20 +739,25 @@ impl DistanceCache {
     ///
     /// # Errors
     ///
-    /// Propagates numeric errors from the distance computation.
+    /// [`NumericError::TooLarge`] for more than 65,536 rows, before the
+    /// distance matrix is allocated; otherwise propagates numeric errors
+    /// from the distance computation.
     pub fn from_features(features: &Matrix, params: &ClusterParams) -> Result<Self, NumericError> {
+        if features.rows() > MAX_LAYERS {
+            return Err(NumericError::TooLarge {
+                op: "DistanceCache",
+                rows: features.rows(),
+                max: MAX_LAYERS,
+            });
+        }
         let smoothed = smooth_features(features, params.smooth_radius);
         let dist = power_distance_matrix(&smoothed, params.alpha, params.lambda)?;
-        let screen = build_screen(&dist);
-        Ok(DistanceCache {
-            num_layers: features.rows(),
-            feature_dim: features.cols(),
-            alpha: params.alpha,
-            lambda: params.lambda,
-            smooth_radius: params.smooth_radius,
+        Ok(Self::from_parts_unchecked(
+            features.rows(),
+            features.cols(),
+            params,
             dist,
-            screen,
-        })
+        ))
     }
 
     /// `true` when the cache was built with the same shape parameters
@@ -706,7 +800,7 @@ impl DistanceCache {
             "DistanceCache matrix rows must equal the layer count"
         );
         let started = Instant::now();
-        let labels = dbscan_scan(&self.dist, &self.screen, params.epsilon, params.min_pts);
+        let labels = dbscan_scan(&self.dist, &self.index, params.epsilon, params.min_pts);
         let view = process_clusters(&labels, params.min_pts.max(2));
         if obs::enabled() {
             obs::histogram("cluster.dbscan_ms", started.elapsed().as_secs_f64() * 1e3);
@@ -743,13 +837,18 @@ impl DistanceCache {
     /// Code paths that accept caches from outside [`DistanceCache::build`]
     /// should run `lint_distance_cache` over the result instead of
     /// trusting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist` has more than 65,536 rows or fewer columns than
+    /// rows: the neighbour index cannot hold it.
     pub fn from_parts_unchecked(
         num_layers: usize,
         feature_dim: usize,
         params: &ClusterParams,
         dist: Matrix,
     ) -> Self {
-        let screen = build_screen(&dist);
+        let index = NeighbourIndex::build(&dist);
         DistanceCache {
             num_layers,
             feature_dim,
@@ -757,7 +856,7 @@ impl DistanceCache {
             lambda: params.lambda,
             smooth_radius: params.smooth_radius,
             dist,
-            screen,
+            index,
         }
     }
 }
@@ -871,6 +970,28 @@ mod tests {
         let labels = dbscan(&d, 0.5, 1);
         assert!(labels[0].is_some() && labels[1].is_some());
         assert_ne!(labels[0], labels[1]);
+    }
+
+    #[test]
+    fn caches_refuse_more_layers_than_the_index_holds() {
+        let x = Matrix::zeros(MAX_LAYERS + 1, 14);
+        let err = DistanceCache::from_features(&x, &ClusterParams::default()).unwrap_err();
+        assert_eq!(
+            err,
+            NumericError::TooLarge {
+                op: "DistanceCache",
+                rows: 65_537,
+                max: 65_536,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 rows")]
+    fn unchecked_parts_beyond_the_layer_cap_panic() {
+        // No columns, so the n×n index is refused before it is allocated.
+        let dist = Matrix::zeros(MAX_LAYERS + 1, 0);
+        DistanceCache::from_parts_unchecked(1, 1, &ClusterParams::default(), dist);
     }
 
     #[test]

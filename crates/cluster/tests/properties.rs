@@ -6,6 +6,7 @@ use powerlens_cluster::{
 };
 use powerlens_dnn::random::{generate, RandomDnnConfig};
 use powerlens_features::depthwise_features;
+use powerlens_numeric::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,6 +14,42 @@ use rand::SeedableRng;
 fn random_graph(seed: u64) -> powerlens_dnn::Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     generate(&RandomDnnConfig::default(), &mut rng)
+}
+
+/// The top edge of the neighbour index's bucket grid: distances at or above
+/// 255/170 share its last bucket.
+const EDGE_MAX: f64 = 255.0 / 170.0;
+
+/// Grid code `c` (0..771): bucket edge k/170 for k in 0..=256, exact or
+/// one ulp either side.
+fn grid_value(c: u32) -> f64 {
+    let edge = f64::from(c / 3) / 170.0;
+    match c % 3 {
+        0 => edge,
+        1 => edge.next_up(),
+        _ => edge.next_down(),
+    }
+}
+
+/// Special code `c` (0..12): non-finite, or on or next to `eps` and the
+/// edges of the bucket `eps` falls in.
+fn special_value(c: u32, eps: f64) -> f64 {
+    let low = (eps * 170.0).floor() / 170.0;
+    let high = ((eps * 170.0).floor() + 1.0) / 170.0;
+    match c {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => eps,
+        4 => eps.next_up(),
+        5 => eps.next_down(),
+        6 => low,
+        7 => low.next_up(),
+        8 => low.next_down(),
+        9 => high,
+        10 => high.next_up(),
+        _ => high.next_down(),
+    }
 }
 
 /// Strategy for arbitrary DBSCAN-like label vectors.
@@ -131,16 +168,18 @@ proptest! {
     /// the contract that lets `plan_oracle` pay the distance matrix once.
     /// Each point is also checked against plain `dbscan` +
     /// `process_clusters` over the cached matrix, which pins the cache's
-    /// sweep-tuned DBSCAN (scratch-buffer region queries, visit-once
-    /// queue) to the allocating reference implementation.
+    /// sweep-tuned DBSCAN (indexed region queries, visit-once queue) to the
+    /// allocating reference implementation. The grid is the production
+    /// scheme space (`powerlens::default_schemes`: seven ε × minPts 3
+    /// and 6) plus minPts 2 and 4.
     #[test]
     fn distance_cache_sweep_equals_from_scratch(seed in 0u64..3000) {
         let g = random_graph(seed);
         let shape = ClusterParams::default();
         let cache = DistanceCache::build(&g, &shape).unwrap();
         prop_assert_eq!(cache.num_layers(), g.num_layers());
-        for eps in [0.05, 0.10, 0.15, 0.25, 0.40] {
-            for min_pts in [2usize, 4, 6] {
+        for eps in [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40] {
+            for min_pts in [2usize, 3, 4, 6] {
                 let params = ClusterParams { epsilon: eps, min_pts, ..shape };
                 prop_assert!(cache.matches(&params));
                 let incremental = cache.cluster(&params);
@@ -156,6 +195,52 @@ proptest! {
                 prop_assert_eq!(
                     incremental, reference,
                     "indexed vs matrix-scan DBSCAN at (eps {}, minPts {})", eps, min_pts
+                );
+            }
+        }
+    }
+
+    /// The neighbour index is exact where its buckets are tight: over
+    /// arbitrary (asymmetric, non-zero-diagonal) matrices whose entries sit
+    /// on bucket edges k/170 or one ulp either side, on or next to ε and
+    /// its bucket's edges, or are NaN or ±∞, every re-threshold equals
+    /// plain `dbscan` + `process_clusters`. Every case runs the ε values
+    /// that fall outside the bucket grid (≤ 0, NaN, ±∞, ≥ 255/170) plus one
+    /// ε on the grid.
+    #[test]
+    fn index_matches_dbscan_on_edge_values(
+        (n, codes) in (1usize..20).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0u32..2, 0u32..12, 0u32..771), n * n))
+        }),
+        grid_eps in 0u32..771,
+    ) {
+        let mut epsilons = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.25,
+            EDGE_MAX,
+            EDGE_MAX.next_up(),
+            EDGE_MAX.next_down(),
+            2.0,
+        ];
+        epsilons.push(grid_value(grid_eps));
+        for eps in epsilons {
+            let values = codes.iter().map(|&(special, s, g)| {
+                if special == 0 { special_value(s, eps) } else { grid_value(g) }
+            });
+            let dist = Matrix::from_vec(n, n, values.collect()).unwrap();
+            let shape = ClusterParams::default();
+            let cache = DistanceCache::from_parts_unchecked(n, 14, &shape, dist.clone());
+            for min_pts in [0usize, 1, 2, 3, 5] {
+                let params = ClusterParams { epsilon: eps, min_pts, ..shape };
+                let reference = process_clusters(&dbscan(&dist, eps, min_pts), min_pts.max(2));
+                prop_assert_eq!(
+                    cache.cluster(&params), reference,
+                    "eps {} ({:#x}), minPts {}, matrix {:?}",
+                    eps, eps.to_bits(), min_pts, dist.as_slice()
                 );
             }
         }

@@ -65,9 +65,10 @@ pub struct Datasets {
 /// to "clustering algorithms with varying hyperparameters" and labels every
 /// resulting block — 8000 networks yield 31,242 blocks, ~4 per network).
 /// Every block label reads the cost table `plan_oracle` priced the network
-/// with, so each layer is priced once per network.
+/// with, and the scheme walk reads the power views its sweep clustered, so
+/// each layer is priced and the distance matrix built once per network.
 fn label_network(pl: &PowerLens<'_>, graph: &Graph) -> (TwoStageSample, Vec<Sample>) {
-    let (outcome, table) = pl
+    let (outcome, table, raw_views) = pl
         .plan_oracle_priced(graph)
         .expect("random networks produce finite features");
     let global = GlobalFeatures::of_graph(graph);
@@ -79,32 +80,13 @@ fn label_network(pl: &PowerLens<'_>, graph: &Graph) -> (TwoStageSample, Vec<Samp
 
     let mut seen = std::collections::HashSet::new();
     let mut block_samples = Vec::new();
-    let mut add_block = |lo: usize, hi: usize| {
-        if seen.insert((lo, hi)) {
+    let raw_blocks = raw_views.iter().flat_map(|v| v.blocks());
+    for b in outcome.view.blocks().iter().chain(raw_blocks) {
+        if seen.insert((b.start, b.end)) {
             block_samples.push(Sample {
-                input: GlobalFeatures::of_range(graph, lo, hi).concat(),
-                label: table.best_level(lo, hi, pl.config().slack),
+                input: GlobalFeatures::of_range(graph, b.start, b.end).concat(),
+                label: table.best_level(b.start, b.end, pl.config().slack),
             });
-        }
-    };
-    for b in outcome.view.blocks() {
-        add_block(b.start, b.end);
-    }
-    // One DistanceCache covers the scheme walk: every scheme in the default
-    // space shares the shape parameters, so only ε/minPts re-thresholding
-    // runs per scheme (heterogeneous spaces rebuild on mismatch).
-    let mut cache: Option<powerlens_cluster::DistanceCache> = None;
-    for idx in 0..pl.config().schemes.len() {
-        let params = pl.config().schemes.get(idx);
-        let c = match cache.take() {
-            Some(c) if c.matches(&params) => Ok(c),
-            _ => powerlens_cluster::DistanceCache::build(graph, &params),
-        };
-        if let Ok(c) = c {
-            for b in c.cluster(&params).blocks() {
-                add_block(b.start, b.end);
-            }
-            cache = Some(c);
         }
     }
     (hyper_sample, block_samples)

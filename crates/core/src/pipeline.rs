@@ -461,15 +461,17 @@ impl<'p> PowerLens<'p> {
     ///
     /// Propagates numeric errors from clustering.
     pub fn plan_oracle(&self, graph: &Graph) -> Result<PlanOutcome, PowerLensError> {
-        self.plan_oracle_priced(graph).map(|(outcome, _)| outcome)
+        self.plan_oracle_priced(graph)
+            .map(|(outcome, _, _)| outcome)
     }
 
     /// [`PowerLens::plan_oracle`], also returning the cost table it priced
-    /// the graph with, for callers that go on to label more blocks.
+    /// the graph with and every scheme's power view before coarsening, in
+    /// scheme order, for callers that go on to label more blocks.
     pub(crate) fn plan_oracle_priced(
         &self,
         graph: &Graph,
-    ) -> Result<(PlanOutcome, CostTable), PowerLensError> {
+    ) -> Result<(PlanOutcome, CostTable, Vec<PowerView>), PowerLensError> {
         let _plan_span = obs::span("plan_oracle");
         let mut timings = WorkflowTimings::default();
         let t = Instant::now();
@@ -491,6 +493,7 @@ impl<'p> PowerLens<'p> {
         // space with heterogeneous shape parameters transparently rebuilds
         // on each mismatch.
         let mut cache: Option<DistanceCache> = None;
+        let mut raw_views = Vec::with_capacity(self.config.schemes.len());
         for idx in 0..self.config.schemes.len() {
             obs::counter("plan.schemes_scored", 1);
             let params = self.config.schemes.get(idx);
@@ -503,6 +506,7 @@ impl<'p> PowerLens<'p> {
                 };
                 let v = c.cluster(&params);
                 cache = Some(c);
+                raw_views.push(v.clone());
                 self.coarsen_view(graph, v)
             };
             clustering_time += t.elapsed();
@@ -560,7 +564,7 @@ impl<'p> PowerLens<'p> {
         self.debug_lint_gate(graph, &outcome, &|lo, hi| {
             table.best_level(lo, hi, self.config.slack)
         });
-        Ok((outcome, table))
+        Ok((outcome, table, raw_views))
     }
 }
 

@@ -40,6 +40,15 @@ pub enum NumericError {
         /// Human-readable name of the failing operation.
         op: &'static str,
     },
+    /// The input has more rows than the operation can index.
+    TooLarge {
+        /// Human-readable name of the failing operation.
+        op: &'static str,
+        /// Rows in the input.
+        rows: usize,
+        /// Most rows the operation accepts.
+        max: usize,
+    },
 }
 
 impl fmt::Display for NumericError {
@@ -63,6 +72,9 @@ impl fmt::Display for NumericError {
             }
             NumericError::NonFinite { op } => {
                 write!(f, "non-finite value encountered in {op}")
+            }
+            NumericError::TooLarge { op, rows, max } => {
+                write!(f, "{op} accepts at most {max} rows, got {rows}")
             }
         }
     }

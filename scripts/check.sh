@@ -48,6 +48,31 @@ case "$warm_stats" in
 esac
 # Plan-store smoke: the whole zoo through the in-memory cache.
 run ./target/release/powerlens-cli plan-batch --cache mem
+# Plan-identity gate: `plan` output must match the goldens in
+# results/plan_golden/ byte for byte. The zoo oracle plans on agx and tx2
+# are all one block, so the gate also trains tx2 models (60 networks, the
+# same file every run) and plans three zoo models with them: 4, 4 and 2
+# blocks, which exercise clustering. A change that means to move a plan
+# re-records the goldens and says why.
+echo "==> plan-identity gate (results/plan_golden)"
+plan_dir=$(mktemp -d)
+cli=./target/release/powerlens-cli
+for platform in agx tx2; do
+    for model in $("$cli" zoo | awk 'NR > 1 { print $1 }'); do
+        "$cli" plan "$model" --platform "$platform"
+    done
+done > "$plan_dir/zoo.txt"
+"$cli" train --platform tx2 --nets 60 --out "$plan_dir/models.json" > /dev/null
+for model in mobilenet_v3 resnext101 regnet_x_32gf; do
+    "$cli" plan "$model" --platform tx2 --models "$plan_dir/models.json"
+done > "$plan_dir/models_tx2.txt"
+for golden in zoo.txt models_tx2.txt; do
+    diff -u "results/plan_golden/$golden" "$plan_dir/$golden" \
+        || { echo "plan-identity gate: $golden differs from its golden" >&2; \
+             rm -rf "$plan_dir"; exit 1; }
+done
+rm -rf "$plan_dir"
+echo "plan-identity gate: 24 zoo plans and 3 model-driven plans match"
 # Ingest gate: every example manifest must pass the PL7xx import gate,
 # lint clean, and plan end-to-end — the external-model path from JSON on
 # disk to a DVFS plan.
