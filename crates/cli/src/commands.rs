@@ -12,7 +12,7 @@ use powerlens::training::{train_models, TrainingConfig};
 use powerlens::{PlanController, PowerLens, PowerLensConfig, TrainedModels};
 use powerlens_dnn::{zoo, Graph};
 use powerlens_faults::FaultPlan;
-use powerlens_governors::{Bim, HybridConfig, HybridGovernor};
+use powerlens_governors::{Bim, HybridGovernor};
 use powerlens_obs as obs;
 use powerlens_obs::TraceMode;
 use powerlens_platform::Platform;
@@ -460,7 +460,7 @@ fn compare(model: &str, opts: &Options) -> CliResult {
         "{:<22} {:>11} {:>9} {:>11} {:>9}",
         "method", "energy (J)", "time (s)", "EE (img/J)", "switches"
     );
-    let (rows, hybrid_stats) = ops::compare_controllers_hybrid(
+    let (rows, hybrid_stats) = ops::compare_controllers(
         &platform,
         &g,
         &outcome.plan,
@@ -595,19 +595,9 @@ fn faultsim(model: &str, opts: &Options) -> CliResult {
         rows.push(("degraded", c, f, Some(leg.num_fallbacks())));
     }
     if opts.hybrid {
-        let mut leg = HybridGovernor::new(
-            &platform,
-            plan_for_row_hybrid.clone(),
-            opts.batch,
-            HybridConfig::default(),
-        );
+        let mut leg = HybridGovernor::new(&platform, plan_for_row_hybrid.clone(), opts.batch);
         let c = run_taskflow(&clean, &tasks, &mut leg);
-        let mut leg = HybridGovernor::new(
-            &platform,
-            plan_for_row_hybrid,
-            opts.batch,
-            HybridConfig::default(),
-        );
+        let mut leg = HybridGovernor::new(&platform, plan_for_row_hybrid, opts.batch);
         let f = run_taskflow(&faulted, &tasks, &mut leg);
         rows.push(("hybrid", c, f, None));
     }
@@ -759,21 +749,16 @@ fn hybridsim(model: &str, opts: &Options) -> CliResult {
         let report;
         let stats;
         {
-            let mut leg = HybridGovernor::new(
-                &platform,
-                outcome.plan.clone(),
-                opts.batch,
-                HybridConfig::default(),
-            )
-            .with_replan_hook(Box::new(|graph, epoch| {
-                match store.lookup_or_plan_epoch(&pl, graph, None, epoch) {
-                    Ok((o, _)) => Some(o.plan),
-                    Err(e) => {
-                        hook_err = Some(e.to_string());
-                        None
+            let mut leg = HybridGovernor::new(&platform, outcome.plan.clone(), opts.batch)
+                .with_replan_hook(Box::new(|graph, epoch| {
+                    match store.lookup_or_plan_epoch(&pl, graph, None, epoch) {
+                        Ok((o, _)) => Some(o.plan),
+                        Err(e) => {
+                            hook_err = Some(e.to_string());
+                            None
+                        }
                     }
-                }
-            }));
+                }));
             report = run_taskflow(engine, &tasks, &mut leg);
             stats = leg.stats();
         }

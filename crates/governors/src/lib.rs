@@ -18,7 +18,8 @@
 //!   PowerLens plan while a windowed drift detector (EWMA of observed vs
 //!   predicted power, platform busy-utilization envelopes) watches the
 //!   telemetry stream, escalating plan → nudge → bounded-rate re-plan (the
-//!   `sim::Degraded` wrapper supplies the final BiM rung).
+//!   `sim::Degraded` wrapper supplies the final BiM rung). The ladder's
+//!   thresholds and budgets are constants in [`hybrid`].
 //!
 //! # Example
 //!
@@ -39,9 +40,9 @@
 
 mod bim;
 mod fpg;
-mod hybrid;
+pub mod hybrid;
 pub mod oracle;
 
 pub use bim::Bim;
 pub use fpg::{FpgCg, FpgG};
-pub use hybrid::{HybridConfig, HybridGovernor, HybridStats, ReplanHook};
+pub use hybrid::{HybridGovernor, HybridStats, ReplanHook};

@@ -17,8 +17,9 @@
 
 use powerlens_dnn::{zoo, Graph};
 use powerlens_faults::FaultPlan;
-use powerlens_governors::{oracle, Bim, HybridConfig, HybridGovernor};
-use powerlens_lint::{lint_hybrid, HybridContext, LintConfig};
+use powerlens_governors::hybrid::{REPLAN_BURST, REPLAN_RATE};
+use powerlens_governors::{oracle, Bim, HybridGovernor};
+use powerlens_lint::{lint_plan, LintConfig, PlanContext};
 use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
 use powerlens_sim::{run_taskflow, Engine, PlanController, TaskSpec};
 
@@ -56,7 +57,7 @@ fn zero_drift_is_bit_identical_to_plan_replay_across_the_zoo() {
 
         let mut plain = PlanController::new(plan.clone());
         let base = engine.run(&g, &mut plain, 8);
-        let mut hybrid = HybridGovernor::new(&p, plan, 4, HybridConfig::default());
+        let mut hybrid = HybridGovernor::new(&p, plan, 4);
         let r = engine.run(&g, &mut hybrid, 8);
 
         assert_eq!(
@@ -138,9 +139,8 @@ fn storm_with_phase_change_trips_the_ladder_within_budget_and_holds_the_floors()
     let mut bim = Bim::new(&p);
     let bim_run = run_taskflow(&engine, &tasks, &mut bim);
 
-    let cfg = HybridConfig::default();
     let (hybrid_run, stats) = {
-        let mut h = HybridGovernor::new(&p, plan.clone(), 4, cfg.clone());
+        let mut h = HybridGovernor::new(&p, plan.clone(), 4);
         let rep = run_taskflow(&engine, &tasks, &mut h);
         (rep, h.stats())
     };
@@ -158,14 +158,14 @@ fn storm_with_phase_change_trips_the_ladder_within_budget_and_holds_the_floors()
     // Re-plans are bounded by the token bucket: the initial burst plus the
     // refill over the whole simulated trace (no hook is attached, so every
     // grant is a ladder reset, but grants still consume tokens).
-    let allowance = cfg.replan_burst + cfg.replan_rate * hybrid_run.total_time;
+    let allowance = REPLAN_BURST + REPLAN_RATE * hybrid_run.total_time;
     assert!(
         (stats.replans as f64) <= allowance.ceil(),
         "replans {} exceed the bucket allowance {:.2} (rate {} burst {} over {:.2}s)",
         stats.replans,
         allowance,
-        cfg.replan_rate,
-        cfg.replan_burst,
+        REPLAN_RATE,
+        REPLAN_BURST,
         hybrid_run.total_time
     );
 
@@ -197,7 +197,7 @@ fn storm_replay_is_deterministic_for_the_hybrid_ladder() {
         .with_seed(7);
     let run = || {
         let e = Engine::new(&p).with_batch(2).with_faults(storm.clone());
-        let mut h = HybridGovernor::new(&p, plan.clone(), 2, HybridConfig::default());
+        let mut h = HybridGovernor::new(&p, plan.clone(), 2);
         let rep = e.run(&g, &mut h, 10);
         (rep, h.stats())
     };
@@ -234,11 +234,12 @@ fn task_boundary_hook_swaps_plans_per_graph_without_consuming_tokens() {
     let engine = Engine::new(&p).with_batch(2);
     let (rep, stats, final_blocks) = {
         let platform = &p;
-        let mut h = HybridGovernor::new(&p, two_block_plan(&p, &a), 2, HybridConfig::default())
-            .with_replan_hook(Box::new(|graph, epoch| {
+        let mut h = HybridGovernor::new(&p, two_block_plan(&p, &a), 2).with_replan_hook(Box::new(
+            |graph, epoch| {
                 calls.push((graph.num_layers(), epoch));
                 Some(two_block_plan(platform, graph))
-            }));
+            },
+        ));
         let rep = run_taskflow(&engine, &tasks, &mut h);
         let blocks = h.plan().points().len();
         (rep, h.stats(), blocks)
@@ -260,31 +261,33 @@ fn task_boundary_hook_swaps_plans_per_graph_without_consuming_tokens() {
 }
 
 #[test]
-fn default_deployment_lints_clean_and_degenerate_knobs_do_not() {
-    // Cross-crate integration: the shipped defaults over a real plan pass
-    // the hybrid lint pack; a zeroed token bucket is rejected before a run.
+fn deployed_plan_lints_clean_and_an_off_table_point_does_not() {
+    // The ladder clamps nudged levels into the board's table, so the plan
+    // it adapts is what can leave the table: the plan pack gates it before
+    // a run. The deployed plan passes; a point one level above the table
+    // is an error.
     let p = Platform::agx();
     let g = zoo::alexnet();
-    let plan = two_block_plan(&p, &g);
-    let cfg = HybridConfig::default();
-    let ctx = HybridContext {
-        plan: &plan,
-        platform: Some(&p),
-        max_nudge: cfg.max_nudge,
-        replan_rate: cfg.replan_rate,
-        replan_burst: cfg.replan_burst,
-        ewma_alpha: cfg.ewma_alpha,
-        nudge_threshold: cfg.nudge_threshold,
-        replan_threshold: cfg.replan_threshold,
-        envelope_margin: cfg.envelope_margin,
+    let lint = |plan: &InstrumentationPlan| {
+        let ctx = PlanContext {
+            plan,
+            platform: &p,
+            view: None,
+            graph: Some(&g),
+            oracle: None,
+        };
+        lint_plan(&ctx, &LintConfig::default())
     };
-    let clean = lint_hybrid(&ctx, &LintConfig::default());
+    let clean = lint(&two_block_plan(&p, &g));
     assert!(clean.diagnostics.is_empty(), "{:?}", clean.diagnostics);
 
-    let broken = HybridContext {
-        replan_rate: 0.0,
-        ..ctx
-    };
-    let report = lint_hybrid(&broken, &LintConfig::default());
-    assert!(report.fired("PL602") && report.has_errors());
+    let off_table = InstrumentationPlan::new(
+        vec![InstrumentationPoint {
+            layer: 0,
+            gpu_level: p.gpu_levels(),
+        }],
+        p.cpu_table().max_level(),
+    );
+    let report = lint(&off_table);
+    assert!(report.fired("PL203") && report.has_errors());
 }

@@ -25,10 +25,6 @@
 //! * **dataflow** ([`lint_dataflow`]): worklist fixpoint facts (reachability,
 //!   liveness, output-size intervals, energy envelopes) cross-checked
 //!   against the plan, the platform's frequency tables, and the view;
-//! * **hybrid** ([`lint_hybrid`]): online-adaptation deployments — nudge
-//!   spans vs. the platform table, re-plan token-bucket sanity, and
-//!   drift-detector tunables (`PL6xx`, plus `PL406` for phase faults in
-//!   the faults pack);
 //! * **ingest** ([`lint_import`]): external model manifests flowing through
 //!   the `powerlens-ingest` importer — unsupported schema versions, unknown
 //!   operators, out-of-range sparsity, shape-inference failures, dangling
@@ -62,7 +58,6 @@ mod dataflow_rules;
 mod diag;
 mod fault_rules;
 mod graph_rules;
-mod hybrid_rules;
 mod ingest_rules;
 mod output;
 mod plan_rules;
@@ -82,7 +77,6 @@ pub use baseline::{baseline_fingerprints, new_findings, NewFinding, FINGERPRINT_
 pub use dataflow_rules::DataflowContext;
 pub use diag::{fingerprint, Diagnostic, LintReport, Location, Severity};
 pub use fault_rules::MAX_REASONABLE_SIGMA;
-pub use hybrid_rules::HybridContext;
 pub use ingest_rules::ImportIssue;
 pub use output::{
     dedupe_for_render, render, report_from_value, report_to_value, to_json, to_sarif, Format,
@@ -232,16 +226,6 @@ pub fn lint_fault_plan(
     let _span = obs::span("lint.faults");
     let mut report = LintReport::new("fault-plan");
     fault_rules::check(plan, platform, config, &mut report);
-    config.finish(report)
-}
-
-/// Runs the **hybrid pack** over a hybrid-governor deployment: nudge span
-/// vs. the platform's frequency table, re-plan token bucket sanity, and
-/// drift-detector tunables ([`HybridContext`]).
-pub fn lint_hybrid(ctx: &HybridContext<'_>, config: &LintConfig) -> LintReport {
-    let _span = obs::span("lint.hybrid");
-    let mut report = LintReport::new("hybrid-governor");
-    hybrid_rules::check(ctx, config, &mut report);
     config.finish(report)
 }
 

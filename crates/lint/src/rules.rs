@@ -3,15 +3,16 @@
 //!
 //! Codes are permanent once shipped: `PL0xx` graph rules, `PL1xx` view rules,
 //! `PL2xx` plan rules, `PL3xx` store rules, `PL4xx` fault-plan rules, `PL5xx`
-//! dataflow rules, `PL6xx` hybrid-governor rules, `PL7xx` ingest rules. New
-//! rules append; retired rules leave a hole.
+//! dataflow rules, `PL7xx` ingest rules. New rules append; retired rules
+//! leave a hole: the hybrid-governor pack was retired in version 5, and
+//! its codes `PL601`–`PL603` stay unused.
 
 use crate::diag::Severity;
 
 /// Version of the rule registry. Bumped whenever a rule is added, removed,
 /// or its logic changes in a way that can alter findings — cached lint
 /// reports are keyed by this, so a bump invalidates every warm report.
-pub const RULES_VERSION: u32 = 4;
+pub const RULES_VERSION: u32 = 5;
 
 /// Which artifact a rule inspects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,9 +29,6 @@ pub enum Pack {
     Faults,
     /// Cross-artifact dataflow facts (`lint::dataflow`).
     Dataflow,
-    /// Hybrid-governor configurations (`powerlens_governors::HybridConfig`
-    /// plus the plan/platform pair it steers, passed as plain fields).
-    Hybrid,
     /// External model manifests flowing through the `powerlens-ingest`
     /// importer (issues surfaced as [`crate::ImportIssue`]s).
     Ingest,
@@ -46,7 +44,6 @@ impl Pack {
             Pack::Store => "store",
             Pack::Faults => "faults",
             Pack::Dataflow => "dataflow",
-            Pack::Hybrid => "hybrid",
             Pack::Ingest => "ingest",
         }
     }
@@ -309,26 +306,6 @@ rules! {
          divergence every fact (and every rule built on one) is untrustworthy",
         "— (analyzer self-check)";
 
-    // ---- hybrid pack ----------------------------------------------------
-    HYBRID_NUDGE_SPAN_INVALID = "PL601", "hybrid-nudge-span-invalid", Error, Hybrid,
-        "adaptation", 3,
-        "every level a nudged block can reach (plan level ± max_nudge, \
-         clamped) must exist in the platform's frequency table, and the \
-         nudge bound itself must leave at least one reachable level",
-        "§3.1 (frequency levels are only meaningful per platform table)";
-    HYBRID_REPLAN_RATE_INVALID = "PL602", "hybrid-replan-rate-invalid", Error, Hybrid,
-        "adaptation", 3,
-        "the re-plan token bucket must be positive and finite in both rate \
-         and burst; a zero or infinite bucket either never re-plans or \
-         thrashes the planner unboundedly",
-        "§3.3 (bounded transition budgets keep adaptation affordable)";
-    HYBRID_DETECTOR_DEGENERATE = "PL603", "hybrid-detector-degenerate", Warning, Hybrid,
-        "adaptation", 3,
-        "detector tunables should be sane: EWMA alpha in (0, 1], nudge \
-         threshold below the re-plan threshold, both positive and finite, \
-         and a non-negative envelope margin",
-        "§2.2 (drift detection presumes a responsive, ordered escalation)";
-
     // ---- ingest pack ----------------------------------------------------
     INGEST_SCHEMA_VERSION = "PL701", "ingest-schema-version", Error, Ingest,
         "schema", 4,
@@ -389,7 +366,6 @@ mod tests {
                 Pack::Store => "PL3",
                 Pack::Faults => "PL4",
                 Pack::Dataflow => "PL5",
-                Pack::Hybrid => "PL6",
                 Pack::Ingest => "PL7",
             };
             assert!(r.code.starts_with(prefix), "{} in wrong band", r.code);
@@ -406,7 +382,6 @@ mod tests {
             Pack::Store,
             Pack::Faults,
             Pack::Dataflow,
-            Pack::Hybrid,
             Pack::Ingest,
         ] {
             assert!(all_rules()
@@ -432,18 +407,14 @@ mod tests {
             );
         }
         // The dataflow pack is the version-2 addition; version 3 added the
-        // hybrid pack plus the PL406 phase rule in the faults pack; version
-        // 4 added the ingest pack.
+        // PL406 phase rule in the faults pack (and the hybrid pack, retired
+        // in version 5); version 4 added the ingest pack.
         assert!(all_rules()
             .iter()
             .all(|r| (r.since == 2) == (r.pack == Pack::Dataflow)));
         assert!(all_rules()
             .iter()
-            .filter(|r| r.since == 3)
-            .all(|r| r.pack == Pack::Hybrid || r.code == "PL406"));
-        assert!(all_rules()
-            .iter()
-            .all(|r| r.pack != Pack::Hybrid || r.since == 3));
+            .all(|r| (r.since == 3) == (r.code == "PL406")));
         assert!(all_rules()
             .iter()
             .all(|r| (r.since == 4) == (r.pack == Pack::Ingest)));
@@ -453,7 +424,7 @@ mod tests {
     fn lookup_by_code() {
         assert_eq!(rule_by_code("PL103").unwrap().name, "view-not-contiguous");
         assert_eq!(rule_by_code("PL501").unwrap().pack, Pack::Dataflow);
-        assert_eq!(rule_by_code("PL601").unwrap().pack, Pack::Hybrid);
+        assert!(rule_by_code("PL601").is_none(), "retired codes stay unused");
         assert_eq!(rule_by_code("PL704").unwrap().pack, Pack::Ingest);
         assert!(rule_by_code("PL999").is_none());
     }

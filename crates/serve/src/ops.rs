@@ -14,7 +14,7 @@ use powerlens::{
 use powerlens_cluster::{cluster_graph, ClusterParams, PowerBlock, PowerView};
 use powerlens_dnn::{zoo, Graph};
 use powerlens_faults::FaultPlan;
-use powerlens_governors::{oracle, Bim, FpgCg, FpgG, HybridConfig, HybridGovernor, HybridStats};
+use powerlens_governors::{oracle, Bim, FpgCg, FpgG, HybridGovernor, HybridStats};
 use powerlens_lint::LintReport;
 use powerlens_platform::{InstrumentationPlan, InstrumentationPoint, Platform};
 use powerlens_sim::{run_taskflow, Controller, Degraded, Engine, TaskSpec};
@@ -78,32 +78,17 @@ pub struct CompareRow {
 
 /// Races the PowerLens plan against the baseline governors (BiM, FPG-G,
 /// FPG-CG) over `tasks` repetitions of `images` images each, returning one
-/// row per controller in a stable order (PowerLens first).
+/// row per controller in a stable order: PowerLens, then the hybrid (when
+/// requested), then the baselines, then `degraded` (when faulted) — the
+/// line-up `powerlens-cli compare` prints.
 ///
 /// With `faults`, the engine injects the given fault plan and the
-/// comparison additionally includes the `Degraded` wrapper (plan →
-/// BiM fallback) — the same line-up `powerlens-cli compare` prints.
-pub fn compare_controllers(
-    platform: &Platform,
-    graph: &Graph,
-    plan: &InstrumentationPlan,
-    batch: usize,
-    images: usize,
-    tasks: usize,
-    faults: Option<&FaultPlan>,
-) -> Vec<CompareRow> {
-    compare_controllers_hybrid(platform, graph, plan, batch, images, tasks, faults, false).0
-}
-
-/// [`compare_controllers`] plus an opt-in [`HybridGovernor`] row.
-///
-/// With `hybrid`, a hybrid row (default [`HybridConfig`], no re-plan hook)
-/// joins the line-up after the PowerLens row, and the returned
-/// [`HybridStats`] describe what its ladder did — `None` when `hybrid` is
-/// false. Row order stays PowerLens, then hybrid (when requested), then the
-/// baselines, then `degraded` (when faulted).
+/// comparison additionally includes the `Degraded` wrapper (plan → BiM
+/// fallback). With `hybrid`, a [`HybridGovernor`] row (no re-plan hook)
+/// joins after PowerLens, and the returned [`HybridStats`] describe what
+/// its ladder did — `None` when `hybrid` is false.
 #[allow(clippy::too_many_arguments)]
-pub fn compare_controllers_hybrid(
+pub fn compare_controllers(
     platform: &Platform,
     graph: &Graph,
     plan: &InstrumentationPlan,
@@ -122,15 +107,14 @@ pub fn compare_controllers_hybrid(
         .collect();
 
     let mut plan_ctl = PlanController::new(plan.clone());
-    let mut hybrid_ctl =
-        HybridGovernor::new(platform, plan.clone(), batch, HybridConfig::default());
+    let mut hybrid_ctl = hybrid.then(|| HybridGovernor::new(platform, plan.clone(), batch));
     let mut degraded = Degraded::new(PlanController::new(plan.clone()), Bim::new(platform));
     let mut bim = Bim::new(platform);
     let mut fpg_g = FpgG::new(platform);
     let mut fpg_cg = FpgCg::new(platform);
     let mut controllers: Vec<&mut dyn Controller> = vec![&mut plan_ctl];
-    if hybrid {
-        controllers.push(&mut hybrid_ctl);
+    if let Some(h) = hybrid_ctl.as_mut() {
+        controllers.push(h);
     }
     controllers.extend([&mut fpg_cg as &mut dyn Controller, &mut fpg_g, &mut bim]);
     if faults.is_some() {
@@ -150,8 +134,8 @@ pub fn compare_controllers_hybrid(
             }
         })
         .collect();
-    let stats = hybrid.then(|| {
-        let s = hybrid_ctl.stats();
+    let stats = hybrid_ctl.map(|h| {
+        let s = h.stats();
         // Surface the run's ladder counters as gauges too: the counters
         // accumulate across runs, the gauges snapshot the latest one.
         powerlens_obs::gauge("hybrid.last_run.drift_detected", s.drift_detected as f64);
@@ -283,7 +267,8 @@ mod tests {
         let g = zoo::alexnet();
         let pl = make_planner(&agx, 4, None);
         let outcome = pl.plan_oracle(&g).unwrap();
-        let rows = compare_controllers(&agx, &g, &outcome.plan, 4, 8, 2, None);
+        let (rows, stats) = compare_controllers(&agx, &g, &outcome.plan, 4, 8, 2, None, false);
+        assert!(stats.is_none(), "no hybrid row, no ladder stats");
         assert_eq!(rows.len(), 4);
         assert!(
             rows[0].method.starts_with("powerlens("),
@@ -300,7 +285,7 @@ mod tests {
         }
         // Under faults the degraded wrapper joins the line-up.
         let fp = FaultPlan::parse("switch_fail=0.2").unwrap();
-        let rows = compare_controllers(&agx, &g, &outcome.plan, 4, 8, 2, Some(&fp));
+        let (rows, _) = compare_controllers(&agx, &g, &outcome.plan, 4, 8, 2, Some(&fp), false);
         assert_eq!(rows.len(), 5);
     }
 
@@ -310,8 +295,7 @@ mod tests {
         let g = zoo::alexnet();
         let pl = make_planner(&agx, 4, None);
         let outcome = pl.plan_oracle(&g).unwrap();
-        let (rows, stats) =
-            compare_controllers_hybrid(&agx, &g, &outcome.plan, 4, 8, 2, None, true);
+        let (rows, stats) = compare_controllers(&agx, &g, &outcome.plan, 4, 8, 2, None, true);
         assert_eq!(rows.len(), 5);
         assert!(rows[0].method.starts_with("powerlens("));
         assert!(rows[1].method.starts_with("hybrid("), "{}", rows[1].method);
@@ -324,8 +308,7 @@ mod tests {
         // Faulted + hybrid: degraded joins too (6 rows), stats still come
         // back.
         let fp = FaultPlan::parse("switch_fail=0.2,seed=7").unwrap();
-        let (rows, stats) =
-            compare_controllers_hybrid(&agx, &g, &outcome.plan, 4, 8, 2, Some(&fp), true);
+        let (rows, stats) = compare_controllers(&agx, &g, &outcome.plan, 4, 8, 2, Some(&fp), true);
         assert_eq!(rows.len(), 6);
         assert!(stats.is_some());
     }

@@ -29,6 +29,11 @@ use crate::proto::{
 /// the client.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Most tasks one `/compare` flow may run. The flow holds a task list of
+/// this length and simulates every task once per controller, so a request
+/// for more is refused before it can exhaust memory or hold a worker.
+const MAX_COMPARE_TASKS: usize = 64;
+
 /// Capacity and behaviour knobs for [`Server`].
 ///
 /// The defaults are sized for a development box: an ephemeral-capable
@@ -379,6 +384,16 @@ impl Server {
         }
     }
 
+    /// Resolves the request's batch size, falling back to the daemon
+    /// default. Zero is refused: planning and simulation divide the images
+    /// into batches of this size.
+    fn batch_for(&self, batch: Option<usize>) -> Result<usize, String> {
+        match batch.unwrap_or(self.cfg.batch) {
+            0 => Err("`batch` must be positive".to_string()),
+            b => Ok(b),
+        }
+    }
+
     /// Plans one graph through the degradation ladder. Returns the
     /// outcome plus `(cached, degraded)` flags.
     fn plan_via_ladder(
@@ -415,7 +430,10 @@ impl Server {
             Ok(p) => p,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
-        let batch = req.batch.unwrap_or(self.cfg.batch);
+        let batch = match self.batch_for(req.batch) {
+            Ok(b) => b,
+            Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
+        };
         let tenant = req.tenant.as_deref();
         let pl = ops::make_planner(&platform, batch, self.cfg.models.clone());
         let pressured = self.under_pressure(shared);
@@ -531,7 +549,20 @@ impl Server {
             Ok(g) => g,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
-        let batch = req.batch.unwrap_or(self.cfg.batch);
+        let batch = match self.batch_for(req.batch) {
+            Ok(b) => b,
+            Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
+        };
+        let tasks = req.tasks.unwrap_or(self.cfg.tasks);
+        if tasks > MAX_COMPARE_TASKS {
+            return json_response(
+                stream,
+                400,
+                &ErrorResponse {
+                    error: format!("`tasks` {tasks} exceeds the limit of {MAX_COMPARE_TASKS}"),
+                },
+            );
+        }
         let pl = ops::make_planner(&platform, batch, self.cfg.models.clone());
         let pressured = self.under_pressure(shared);
         let (outcome, _, degraded) = match self.plan_via_ladder(
@@ -545,13 +576,13 @@ impl Server {
             Ok(r) => r,
             Err(e) => return json_response(stream, 500, &ErrorResponse { error: e }),
         };
-        let (rows, _hybrid_stats) = ops::compare_controllers_hybrid(
+        let (rows, _hybrid_stats) = ops::compare_controllers(
             &platform,
             &graph,
             &outcome.plan,
             batch,
             req.images.unwrap_or(self.cfg.images),
-            req.tasks.unwrap_or(self.cfg.tasks),
+            tasks,
             None,
             req.hybrid.unwrap_or(false),
         );
@@ -598,7 +629,10 @@ impl Server {
             Ok(g) => g,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
-        let batch = req.batch.unwrap_or(self.cfg.batch);
+        let batch = match self.batch_for(req.batch) {
+            Ok(b) => b,
+            Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
+        };
         let reports = match &self.lint_cache {
             Some(cache) => ops::lint_model_cached(&platform, &graph, batch, cache),
             None => ops::lint_model(&platform, &graph, batch).map(|r| vec![r]),

@@ -235,10 +235,25 @@ fn deeply_nested_bodies_are_refused_without_killing_the_daemon() {
         ..ServeConfig::default()
     });
 
-    let (status, body) = request(&addr, "POST", "/plan", &"[".repeat(20_000)).unwrap();
-    assert_eq!(status, 400, "{body}");
-    let (status, _) = request(&addr, "GET", "/healthz", "").unwrap();
-    assert_eq!(status, 200, "the daemon survives the request");
+    // One worker: a request that kills it leaves nothing to answer the
+    // next one, so every body here must be refused and `/healthz` must
+    // still answer after each.
+    let nested = "[".repeat(20_000);
+    let bodies = [
+        ("/plan", nested.as_str()),
+        ("/plan", r#"{"model": "alexnet", "batch": 0}"#),
+        ("/compare", r#"{"model": "alexnet", "batch": 0}"#),
+        (
+            "/compare",
+            r#"{"model": "alexnet", "tasks": 1152921504606846976}"#,
+        ),
+    ];
+    for (path, body) in bodies {
+        let (status, resp) = request(&addr, "POST", path, body).unwrap();
+        assert_eq!(status, 400, "{path}: {resp}");
+        let (status, _) = request(&addr, "GET", "/healthz", "").unwrap();
+        assert_eq!(status, 200, "the daemon survives the request to {path}");
+    }
 
     let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(status, 200);

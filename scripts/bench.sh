@@ -44,11 +44,9 @@
 # "ingest_overhead" entry reports what importing a zoo-sized manifest
 # costs as a fraction of cold-planning the same graph (budget: <= 0.02 —
 # ingest sits on the serve request path, so it must stay invisible next
-# to the planning work that follows it). A "serve_load" entry
-# records the concurrent-load harness (smoke profile): plans/sec, p50/p99
-# latency, and shed/degraded rates per traffic mix against a live
-# powerlens-serve daemon. The perf trajectory across PRs compares these
-# files.
+# to the planning work that follows it). The perf trajectory across PRs
+# compares these files; end-to-end serving throughput is measured by
+# perfbench/ instead.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,8 +65,7 @@ shift $((OPTIND - 1))
 raw=$(mktemp)
 ret=$(mktemp)
 rec=$(mktemp)
-srv=$(mktemp)
-trap 'rm -f "$raw" "$ret" "$rec" "$srv"' EXIT
+trap 'rm -f "$raw" "$ret" "$rec"' EXIT
 
 if [ "$#" -gt 0 ]; then
     for b in "$@"; do
@@ -93,18 +90,11 @@ echo "==> hybridsim online-adaptation sweep (alexnet, default storm)"
 ./target/release/powerlens-cli hybridsim alexnet --batch 8 --images 16 \
     | tee /dev/stderr | grep '^ee_recovery ' > "$rec" || true
 
-# Concurrent-load harness: drives a live powerlens-serve daemon and prints
-# greppable "serve_load <mix> plans_per_sec <v> ..." lines per traffic mix.
-echo "==> serve_load concurrent-load harness (smoke profile)"
-cargo build -q --release -p powerlens-bench --bin serve_load
-./target/release/serve_load --profile smoke \
-    | tee /dev/stderr | grep '^serve_load ' > "$srv" || true
-
 # Criterion-shim lines look like:
 #   name/case    time: [1.234 µs 1.456 µs 1.789 µs]  (20 samples x 7 iters)
 # Field layout after splitting on '[' / ']': "v1 u1 v2 u2 v3 u3" — the
 # median is the second value/unit pair.
-awk -v out="$out" -v baseline="$baseline" -v retfile="$ret" -v recfile="$rec" -v servefile="$srv" '
+awk -v out="$out" -v baseline="$baseline" -v retfile="$ret" -v recfile="$rec" '
 function to_ns(v, u) {
     if (u == "s")  return v * 1e9
     if (u == "ms") return v * 1e6
@@ -223,17 +213,13 @@ END {
     # of magnitude to spare. hsteps mirrors bench_hybrid.rs: 256 images /
     # batch 8 = 32 passes over the 19 alexnet layers.
     hplan = "hybrid/engine_plan_alexnet"
-    hoff  = "hybrid/engine_detector_off_alexnet"
     hon   = "hybrid/engine_detector_on_alexnet"
     hsteps = (256 / 8) * 19
     if ((hplan in ns) && (hon in ns) && ns[hplan] > 0) {
         printf ",\n  \"hybrid_overhead\": {\"detector_ns_per_step\": %.2f, \"budget_ns_per_step\": 10", \
             (ns[hon] - ns[hplan]) / hsteps > out
-        printf ", \"engine_step_ns\": %.2f, \"detector_on_vs_plan\": %.3f", \
+        printf ", \"engine_step_ns\": %.2f, \"detector_on_vs_plan\": %.3f}\n", \
             ns[hplan] / hsteps, ns[hon] / ns[hplan] > out
-        if (hoff in ns)
-            printf ", \"detector_off_vs_plan\": %.3f", ns[hoff] / ns[hplan] > out
-        printf "}\n" > out
         printf "hybrid detector: %.1f ns/step on a %.1f ns simulated engine step (budget 10 ns)\n", \
             (ns[hon] - ns[hplan]) / hsteps, ns[hplan] / hsteps
     }
@@ -289,29 +275,6 @@ END {
         printf ", \"floor\": \"degraded >= 0.9 * bim\"}\n" > out
         printf "ee retention under faults:"
         for (j = 1; j <= nret; j++) printf " %s %s", rname[j], rval[j]
-        printf "\n"
-    }
-    # Concurrent serving throughput: plans/sec, latency percentiles, and
-    # shed/degraded rates per traffic mix from the serve_load harness.
-    nsrv = 0
-    while ((getline line < servefile) > 0) {
-        n = split(line, sf, /[ \t]+/)
-        if (n >= 4 && sf[1] == "serve_load") {
-            smix[++nsrv] = sf[2]
-            entry = ""
-            for (k = 3; k + 1 <= n; k += 2)
-                entry = entry (entry == "" ? "" : ", ") \
-                    "\"" sf[k] "\": " sf[k + 1]
-            sobj[nsrv] = entry
-        }
-    }
-    if (nsrv > 0) {
-        printf ",\n  \"serve_load\": {" > out
-        for (j = 1; j <= nsrv; j++)
-            printf "%s\"%s\": {%s}", (j > 1 ? ", " : ""), smix[j], sobj[j] > out
-        printf "}\n" > out
-        printf "serve_load mixes recorded:"
-        for (j = 1; j <= nsrv; j++) printf " %s", smix[j]
         printf "\n"
     }
     printf "}\n" > out

@@ -71,8 +71,32 @@ for golden in zoo.txt models_tx2.txt; do
         || { echo "plan-identity gate: $golden differs from its golden" >&2; \
              rm -rf "$plan_dir"; exit 1; }
 done
-rm -rf "$plan_dir"
 echo "plan-identity gate: 24 zoo plans and 3 model-driven plans match"
+# Hybrid golden gate: on the 4-block mobilenet_v3 plan these models give
+# on tx2 the hybrid ladder detects drift, nudges, re-plans and throttles
+# re-plans, unlike the alexnet smoke below where it never moves. The
+# stdout and exit code of hybridsim (1: the hybrid falls just below the
+# static plan there) and of faultsim --hybrid must match
+# results/hybrid_golden/ byte for byte.
+echo "==> hybrid golden gate (results/hybrid_golden)"
+for cmd in hybridsim faultsim; do
+    flag=""
+    [ "$cmd" = faultsim ] && flag="--hybrid"
+    golden="${cmd}_mobilenet_v3_tx2.txt"
+    {
+        rc=0
+        # $flag is empty or one word: leave it unquoted.
+        # shellcheck disable=SC2086
+        "$cli" "$cmd" mobilenet_v3 --platform tx2 --models "$plan_dir/models.json" \
+            --batch 8 --images 16 $flag 2>/dev/null || rc=$?
+        echo "exit $rc"
+    } > "$plan_dir/$golden"
+    diff -u "results/hybrid_golden/$golden" "$plan_dir/$golden" \
+        || { echo "hybrid golden gate: $golden differs from its golden" >&2; \
+             rm -rf "$plan_dir"; exit 1; }
+done
+rm -rf "$plan_dir"
+echo "hybrid golden gate: hybridsim and faultsim --hybrid on mobilenet_v3/tx2 match"
 # Ingest gate: every example manifest must pass the PL7xx import gate,
 # lint clean, and plan end-to-end — the external-model path from JSON on
 # disk to a DVFS plan.
