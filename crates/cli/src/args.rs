@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing (keeping the dependency set minimal).
 
 use powerlens_obs::TraceMode;
+use powerlens_serve::ServeConfig;
 use std::fmt;
 
 /// CLI usage text.
@@ -26,7 +27,7 @@ pub const USAGE: &str = "usage:
                          [--cache MODE] [--cache-dir DIR]
   powerlens-cli stats    [report.json]
   powerlens-cli serve    [--addr A] [--port N] [--threads N] [--queue-depth N]
-                         [--shards N] [--platform P] [--batch N] [--images N]
+                         [--platform P] [--batch N] [--images N]
                          [--cache MODE] [--cache-dir DIR] [--models PATH]
 
 platforms: agx (default), tx2, cloud
@@ -77,8 +78,9 @@ serve runs the planning-as-a-service daemon (see docs/SERVING.md): POST
 /plan, /compare and /lint over HTTP, GET /metrics and /healthz, POST
 /shutdown. --port 0 picks an ephemeral port (printed on startup);
 --threads sets the worker count (0 = all cores); --queue-depth bounds the
-admission queue (beyond it clients get 429); --shards splits the
-in-memory plan cache";
+admission queue (beyond it clients get 429); serve caches in memory and
+simulates 16 images per /compare task unless --cache or --images say
+otherwise";
 
 /// Shared options across subcommands.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,8 +123,6 @@ pub struct Options {
     pub port: u16,
     /// Admission-queue depth for the `serve` daemon (`--queue-depth N`).
     pub queue_depth: usize,
-    /// Plan-cache shards for the `serve` daemon (`--shards N`).
-    pub shards: usize,
     /// Add the hybrid governor row to compare/faultsim line-ups
     /// (`--hybrid`).
     pub hybrid: bool,
@@ -149,7 +149,6 @@ impl Default for Options {
             addr: "127.0.0.1".into(),
             port: 8780,
             queue_depth: 64,
-            shards: 8,
             hybrid: false,
         }
     }
@@ -227,8 +226,11 @@ fn parse_usize(flag: &str, v: &str) -> Result<usize, ParseError> {
     Ok(n)
 }
 
-fn parse_options<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Options, ParseError> {
-    let mut opts = Options::default();
+/// Applies the flags in `it` over `opts`, the subcommand's defaults.
+fn parse_options<'a>(
+    mut opts: Options,
+    mut it: impl Iterator<Item = &'a String>,
+) -> Result<Options, ParseError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--platform" => {
@@ -307,7 +309,6 @@ fn parse_options<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Options
                 opts.queue_depth =
                     parse_usize("--queue-depth", &take_value("--queue-depth", &mut it)?)?
             }
-            "--shards" => opts.shards = parse_usize("--shards", &take_value("--shards", &mut it)?)?,
             "--hybrid" => opts.hybrid = true,
             other => return Err(ParseError(format!("unknown option {other:?}"))),
         }
@@ -350,7 +351,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Import {
                 path,
-                opts: parse_options(it)?,
+                opts: parse_options(Options::default(), it)?,
             })
         }
         "sweep" | "plan" | "compare" | "trace" | "faultsim" | "hybridsim" => {
@@ -361,7 +362,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(first) if !first.starts_with("--") => ((*first).clone(), &rest[1..]),
                 _ => (String::new(), &rest[..]),
             };
-            let opts = parse_options(flags.iter().copied())?;
+            let opts = parse_options(Options::default(), flags.iter().copied())?;
             if model.is_empty() && opts.model.is_none() {
                 return Err(ParseError(format!(
                     "{sub} requires a model name or --model PATH"
@@ -388,25 +389,35 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .position(|a| a.starts_with("--"))
                 .unwrap_or(rest.len());
             let models = rest[..split].iter().map(|s| (*s).clone()).collect();
-            let opts = parse_options(rest[split..].iter().copied())?;
+            let opts = parse_options(Options::default(), rest[split..].iter().copied())?;
             Ok(Command::PlanBatch { models, opts })
         }
         "train" => Ok(Command::Train {
-            opts: parse_options(it)?,
+            opts: parse_options(Options::default(), it)?,
         }),
-        "serve" => Ok(Command::Serve {
-            opts: parse_options(it)?,
-        }),
+        "serve" => {
+            // The daemon's own cache and `/compare` image defaults, not
+            // the one-shot subcommands' `off` and 48.
+            let daemon = ServeConfig::default();
+            let defaults = Options {
+                cache: daemon.cache.to_string(),
+                images: daemon.images,
+                ..Options::default()
+            };
+            Ok(Command::Serve {
+                opts: parse_options(defaults, it)?,
+            })
+        }
         "lint" => {
             let first = it
                 .next()
                 .ok_or_else(|| ParseError("lint requires a model name or --all".into()))?;
             let (model, opts) = if first == "--all" {
-                (None, parse_options(it)?)
+                (None, parse_options(Options::default(), it)?)
             } else if first.starts_with("--") {
                 // Flags only: valid when --model PATH names the subject.
                 let rest: Vec<&String> = std::iter::once(first).chain(it).collect();
-                let opts = parse_options(rest.into_iter())?;
+                let opts = parse_options(Options::default(), rest.into_iter())?;
                 if opts.model.is_none() {
                     return Err(ParseError(
                         "lint requires a model name, --all or --model PATH".into(),
@@ -414,7 +425,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 }
                 (None, opts)
             } else {
-                (Some(first.clone()), parse_options(it)?)
+                (Some(first.clone()), parse_options(Options::default(), it)?)
             };
             if model.is_some() && opts.model.is_some() {
                 return Err(ParseError(
@@ -731,7 +742,6 @@ mod tests {
                 assert_eq!(opts.addr, "127.0.0.1");
                 assert_eq!(opts.port, 8780);
                 assert_eq!(opts.queue_depth, 64);
-                assert_eq!(opts.shards, 8);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -741,8 +751,6 @@ mod tests {
             "0",
             "--queue-depth",
             "4",
-            "--shards",
-            "2",
             "--threads",
             "3",
             "--cache",
@@ -753,7 +761,6 @@ mod tests {
             Command::Serve { opts } => {
                 assert_eq!(opts.port, 0); // ephemeral is allowed
                 assert_eq!(opts.queue_depth, 4);
-                assert_eq!(opts.shards, 2);
                 assert_eq!(opts.threads, 3);
                 assert_eq!(opts.cache, "mem");
             }
@@ -761,7 +768,36 @@ mod tests {
         }
         assert!(parse(&v(&["serve", "--port", "x"])).is_err());
         assert!(parse(&v(&["serve", "--queue-depth", "0"])).is_err());
-        assert!(parse(&v(&["serve", "--shards", "0"])).is_err());
+        assert!(parse(&v(&["serve", "--shards", "8"])).is_err());
+    }
+
+    #[test]
+    fn serve_defaults_are_the_daemons_and_flags_override_them() {
+        let daemon = ServeConfig::default();
+        match parse(&v(&["serve"])).unwrap() {
+            Command::Serve { opts } => {
+                assert_eq!(opts.cache, "mem");
+                assert_eq!(opts.cache, daemon.cache.to_string());
+                assert_eq!(opts.images, 16);
+                assert_eq!(opts.images, daemon.images);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match parse(&v(&["serve", "--cache", "off", "--images", "48"])).unwrap() {
+            Command::Serve { opts } => {
+                assert_eq!(opts.cache, "off");
+                assert_eq!(opts.images, 48);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // The one-shot subcommands keep theirs: the plan goldens print 48.
+        match parse(&v(&["plan", "alexnet"])).unwrap() {
+            Command::Plan { opts, .. } => {
+                assert_eq!(opts.cache, "off");
+                assert_eq!(opts.images, 48);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -985,14 +985,12 @@ fn serve_cmd(opts: &Options) -> CliResult {
         port: opts.port,
         workers: opts.threads,
         queue_depth: opts.queue_depth,
-        shards: opts.shards,
         cache,
         cache_dir: (cache == CacheMode::Disk).then(|| PathBuf::from(&opts.cache_dir)),
         platform: opts.platform.clone(),
         batch: opts.batch,
         images: opts.images,
         models: trained_models_for(opts)?,
-        ..ServeConfig::default()
     };
     let queue_depth = cfg.queue_depth;
     let server = Server::bind(cfg)?;
@@ -1081,7 +1079,6 @@ mod tests {
             addr: "127.0.0.1".into(),
             port: 0,
             queue_depth: 8,
-            shards: 2,
             hybrid: false,
         }
     }

@@ -343,7 +343,6 @@ impl<'p> PowerLens<'p> {
     ) {
         let config = powerlens_lint::LintConfig {
             max_blocks: self.config.max_blocks,
-            ..powerlens_lint::LintConfig::default()
         };
         let mut report = powerlens_lint::lint_view(&outcome.view, Some(graph), &config);
         report.merge(powerlens_lint::lint_plan(

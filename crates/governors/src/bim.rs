@@ -2,6 +2,9 @@ use powerlens_dnn::{Graph, LayerId};
 use powerlens_platform::{FreqLevel, Platform, Telemetry};
 use powerlens_sim::{Controller, FreqRequest};
 
+/// BiM's sampling window (seconds).
+const WINDOW: f64 = 0.1;
+
 /// The built-in method (BiM): an `ondemand`-style reactive GPU governor.
 ///
 /// Once per sampling window it inspects the trailing GPU load (busy
@@ -18,7 +21,6 @@ use powerlens_sim::{Controller, FreqRequest};
 /// Figure 1(A) of the paper illustrates.
 #[derive(Debug, Clone)]
 pub struct Bim {
-    window: f64,
     up_threshold: f64,
     target_load: f64,
     next_decision: f64,
@@ -28,12 +30,11 @@ pub struct Bim {
 }
 
 impl Bim {
-    /// Creates the governor for `platform` with the standard 100 ms sampling
-    /// window and an 80 % up-threshold.
+    /// Creates the governor for `platform` with the 100 ms sampling window
+    /// and an 80 % up-threshold.
     pub fn new(platform: &Platform) -> Self {
         let t = platform.gpu_table();
         Bim {
-            window: 0.1,
             up_threshold: 0.80,
             target_load: 0.63,
             next_decision: 0.0,
@@ -43,20 +44,9 @@ impl Bim {
         }
     }
 
-    /// Overrides the sampling window (seconds).
-    pub fn with_window(mut self, seconds: f64) -> Self {
-        self.window = seconds;
-        self
-    }
-
     /// Number of decisions taken so far (windows actually evaluated).
     pub fn num_decisions(&self) -> usize {
         self.decisions
-    }
-
-    /// The sampling window (seconds).
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     fn level_for_freq(&self, hz: f64) -> FreqLevel {
@@ -98,14 +88,14 @@ impl Controller for Bim {
         // stretch the effective sampling period well past the window).
         // Skip whole windows the run slept through, then arm the next
         // grid point strictly after `now`.
-        let behind = ((now - self.next_decision) / self.window).floor().max(0.0);
-        self.next_decision += (1.0 + behind) * self.window;
+        let behind = ((now - self.next_decision) / WINDOW).floor().max(0.0);
+        self.next_decision += (1.0 + behind) * WINDOW;
         if self.next_decision <= now {
             // Guard against `now` sitting exactly on a grid point.
-            self.next_decision += self.window;
+            self.next_decision += WINDOW;
         }
         self.decisions += 1;
-        let Some(w) = telemetry.window_stats(self.window) else {
+        let Some(w) = telemetry.window_stats(WINDOW) else {
             return FreqRequest::none();
         };
         if w.busy_util >= self.up_threshold {
@@ -185,16 +175,16 @@ mod tests {
     fn bim_decisions_respect_window() {
         let p = Platform::tx2();
         let e = Engine::new(&p).with_batch(4);
-        let mut bim = Bim::new(&p).with_window(0.05);
+        let mut bim = Bim::new(&p);
         let r = e.run(&zoo::alexnet(), &mut bim, 64);
-        // With a 50 ms window and a multi-second run, the number of actual
+        // With a 100 ms window and a multi-second run, the number of actual
         // switches must stay far below the layer count.
         let layers = zoo::alexnet().num_layers() * 64 / 4;
         assert!(r.num_gpu_switches < layers / 4);
         // The decision clock is phase-locked to the window grid: the number
         // of decisions tracks duration / window, not the (drifting)
         // overshoot-stretched period the old `now + window` re-arm produced.
-        let expected = r.total_time / 0.05;
+        let expected = r.total_time / WINDOW;
         let decisions = bim.num_decisions() as f64;
         assert!(
             decisions <= expected + 2.0,
@@ -209,24 +199,24 @@ mod tests {
     #[test]
     fn decision_clock_reanchors_after_overshoot() {
         let p = Platform::tx2();
-        let mut bim = Bim::new(&p).with_window(0.05);
+        let mut bim = Bim::new(&p);
         let g = zoo::alexnet();
         let mut t = Telemetry::new();
-        // First decision at t = 0 arms the 50 ms grid.
+        // First decision at t = 0 arms the 100 ms grid.
         bim.before_layer(&g, 0, &t, 5, 0);
         assert_eq!(bim.num_decisions(), 1);
-        // A long layer overshoots past two grid points (now = 0.12).
-        t.record(0.12, 10.0, 1.0, 1.0, 0.1, 5);
+        // A long layer overshoots past two grid points (now = 0.24).
+        t.record(2.4 * WINDOW, 10.0, 1.0, 1.0, 0.1, 5);
         bim.before_layer(&g, 1, &t, 5, 0);
         assert_eq!(bim.num_decisions(), 2);
-        // The next deadline is the 0.15 grid point — not 0.17 (= now +
+        // The next deadline is the 0.30 grid point — not 0.34 (= now +
         // window), which is what the pre-fix drifting clock armed.
-        t.record(0.02, 10.0, 1.0, 1.0, 0.1, 5); // now = 0.14
+        t.record(0.4 * WINDOW, 10.0, 1.0, 1.0, 0.1, 5); // now = 0.28
         bim.before_layer(&g, 2, &t, 5, 0);
-        assert_eq!(bim.num_decisions(), 2, "0.14 < 0.15: deadline not reached");
-        t.record(0.011, 10.0, 1.0, 1.0, 0.1, 5); // now = 0.151
+        assert_eq!(bim.num_decisions(), 2, "0.28 < 0.30: deadline not reached");
+        t.record(0.21 * WINDOW, 10.0, 1.0, 1.0, 0.1, 5); // now = 0.301
         bim.before_layer(&g, 3, &t, 5, 0);
-        assert_eq!(bim.num_decisions(), 3, "fires at the 0.15 grid point");
+        assert_eq!(bim.num_decisions(), 3, "fires at the 0.30 grid point");
     }
 
     #[test]

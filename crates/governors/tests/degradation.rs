@@ -28,6 +28,29 @@ fn plan_for(p: &Platform, g: &powerlens_dnn::Graph) -> InstrumentationPlan {
     )
 }
 
+/// Switch points per plan in the zoo sweep, and images per run. A failed
+/// request leaves the board where it was, so the next point switches
+/// again; sixteen points over eight batches of four give the 20% failure
+/// rate enough requests to build `DEFAULT_FAILURE_THRESHOLD` consecutive
+/// failures somewhere in the zoo.
+const POINTS: usize = 16;
+const IMAGES: usize = 32;
+
+/// `plan_for`'s level alternating with its lower neighbour at `POINTS`
+/// evenly spaced layers.
+fn alternating_plan_for(p: &Platform, g: &powerlens_dnn::Graph) -> InstrumentationPlan {
+    let n = g.num_layers();
+    let best = oracle::best_level_for_range(p, g, 0, n, 4, f64::INFINITY);
+    let other = if best > 0 { best - 1 } else { best + 1 };
+    let points = (0..POINTS)
+        .map(|i| InstrumentationPoint {
+            layer: i * n / POINTS,
+            gpu_level: if i % 2 == 0 { best } else { other },
+        })
+        .collect();
+    InstrumentationPlan::new(points, p.cpu_table().max_level())
+}
+
 #[test]
 fn degraded_survives_twenty_percent_switch_failures_across_the_zoo() {
     let p = Platform::agx();
@@ -42,9 +65,11 @@ fn degraded_survives_twenty_percent_switch_failures_across_the_zoo() {
         let engine = Engine::new(&p)
             .with_batch(4)
             .with_faults(base.clone().with_seed(2000 + i as u64));
-        let mut ctl = Degraded::new(PlanController::new(plan_for(&p, &g)), Bim::new(&p))
-            .with_failure_threshold(1);
-        let r = engine.run(&g, &mut ctl, 16);
+        let mut ctl = Degraded::new(
+            PlanController::new(alternating_plan_for(&p, &g)),
+            Bim::new(&p),
+        );
+        let r = engine.run(&g, &mut ctl, IMAGES);
         assert!(r.total_time > 0.0, "{name}: run must complete");
         assert!(r.energy_efficiency > 0.0, "{name}: EE must be positive");
         // A model whose plan matches the boot levels issues no switch
@@ -78,8 +103,7 @@ fn degraded_trips_under_total_switch_blackout() {
         .with_seed(7);
     let engine = Engine::new(&p).with_batch(2).with_faults(faults);
     let g = zoo::alexnet();
-    let mut ctl = Degraded::new(PlanController::new(plan_for(&p, &g)), Bim::new(&p))
-        .with_failure_threshold(2);
+    let mut ctl = Degraded::new(PlanController::new(plan_for(&p, &g)), Bim::new(&p));
     let r = engine.run(&g, &mut ctl, 6);
     assert!(ctl.fell_back(), "blackout must trip the fallback");
     assert!(r.num_failed_switches > 0);
@@ -93,8 +117,7 @@ fn sensor_dropout_alone_trips_the_staleness_detector() {
     let faults = FaultPlan::parse("drop=0.95").unwrap().with_seed(11);
     let engine = Engine::new(&p).with_batch(8).with_faults(faults);
     let g = zoo::vgg19();
-    let mut ctl =
-        Degraded::new(PlanController::new(plan_for(&p, &g)), Bim::new(&p)).with_stale_window(0.2);
+    let mut ctl = Degraded::new(PlanController::new(plan_for(&p, &g)), Bim::new(&p));
     let r = engine.run(&g, &mut ctl, 24);
     assert!(ctl.fell_back(), "near-total dropout must look stale");
     assert_eq!(r.num_failed_switches, 0, "no switch faults were configured");

@@ -13,7 +13,14 @@ use powerlens_platform::{InstrumentationPlan, LayerEnvelope, Platform};
 use crate::dataflow::{self, DataflowFacts, DEFAULT_SWEEP_LIMIT};
 use crate::diag::{LintReport, Location};
 use crate::rules;
-use crate::LintConfig;
+
+/// `PL506` fires when boot-frequency energy before the first
+/// instrumentation point exceeds this fraction of the best-case total.
+pub const BOOT_ENERGY_FRACTION: f64 = 0.10;
+
+/// `PL507` fires when a block's busy-utilization envelopes are disjoint by
+/// more than this gap.
+pub const ACTIVITY_MARGIN: f64 = 0.25;
 
 /// Everything the dataflow pack can cross-check. Only `graph` is required;
 /// each optional artifact unlocks the rules that need it.
@@ -60,31 +67,29 @@ fn graph_energy_interval(envelopes: &[LayerEnvelope]) -> (f64, f64) {
 }
 
 /// Runs the dataflow pack and returns its findings.
-pub fn check(ctx: &DataflowContext<'_>, config: &LintConfig) -> LintReport {
+pub fn check(ctx: &DataflowContext<'_>) -> LintReport {
     let mut report = LintReport::new(ctx.graph.name());
     let facts = dataflow::analyze_bounded(ctx.graph, ctx.sweep_limit);
 
     if !facts.converged {
-        if config.enabled("PL508") {
-            report.push(
-                &rules::DF_DIVERGED,
-                Location::Model,
-                format!(
-                    "fixpoint analysis exhausted its budget after {} sweeps \
-                     (limit {} per pass) without stabilizing; dataflow facts \
-                     are untrustworthy and the remaining PL5xx rules were \
-                     skipped",
-                    facts.sweeps, ctx.sweep_limit
-                ),
-            );
-        }
+        report.push(
+            &rules::DF_DIVERGED,
+            Location::Model,
+            format!(
+                "fixpoint analysis exhausted its budget after {} sweeps \
+                 (limit {} per pass) without stabilizing; dataflow facts \
+                 are untrustworthy and the remaining PL5xx rules were \
+                 skipped",
+                facts.sweeps, ctx.sweep_limit
+            ),
+        );
         return report;
     }
 
-    check_reachability(ctx, config, &facts, &mut report);
-    check_shape_intervals(ctx, config, &facts, &mut report);
+    check_reachability(ctx, &facts, &mut report);
+    check_shape_intervals(ctx, &facts, &mut report);
     if let Some(plan) = ctx.plan {
-        check_plan_points(ctx, config, &facts, plan, &mut report);
+        check_plan_points(&facts, plan, &mut report);
     }
     if let Some(platform) = ctx.platform {
         // The per-layer envelopes are the pack's expensive fact (every GPU
@@ -94,59 +99,46 @@ pub fn check(ctx: &DataflowContext<'_>, config: &LintConfig) -> LintReport {
             .map(|p| p.cpu_level())
             .unwrap_or(platform.cpu_levels() - 1);
         let envelopes = platform.graph_envelopes(ctx.graph.layers(), ctx.batch, cpu);
-        check_energy(ctx, config, platform, &envelopes, &mut report);
+        check_energy(ctx, platform, &envelopes, &mut report);
         if let Some(view) = ctx.view {
-            check_activity(ctx, config, platform, view, &envelopes, &mut report);
+            check_activity(ctx, platform, view, &envelopes, &mut report);
         }
     }
     report
 }
 
-fn check_reachability(
-    ctx: &DataflowContext<'_>,
-    config: &LintConfig,
-    facts: &DataflowFacts,
-    report: &mut LintReport,
-) {
-    if config.enabled("PL501") {
-        for i in facts.unreachable() {
-            let l = &ctx.graph.layers()[i];
-            report.push(
-                &rules::DF_LAYER_UNREACHABLE,
-                Location::Layer(i),
-                format!(
-                    "layer {i} ({}) declares input {} which neither the graph \
-                     input nor any reachable earlier layer produces",
-                    l.name, l.input_shape
-                ),
-            );
-        }
+fn check_reachability(ctx: &DataflowContext<'_>, facts: &DataflowFacts, report: &mut LintReport) {
+    for i in facts.unreachable() {
+        let l = &ctx.graph.layers()[i];
+        report.push(
+            &rules::DF_LAYER_UNREACHABLE,
+            Location::Layer(i),
+            format!(
+                "layer {i} ({}) declares input {} which neither the graph \
+                 input nor any reachable earlier layer produces",
+                l.name, l.input_shape
+            ),
+        );
     }
-    if config.enabled("PL502") {
-        for i in facts.dead() {
-            let l = &ctx.graph.layers()[i];
-            report.push(
-                &rules::DF_LAYER_DEAD,
-                Location::Layer(i),
-                format!(
-                    "layer {i} ({}) produces output {} that no live later \
-                     layer consumes; it burns energy in every plan for nothing",
-                    l.name, l.output_shape
-                ),
-            );
-        }
+    for i in facts.dead() {
+        let l = &ctx.graph.layers()[i];
+        report.push(
+            &rules::DF_LAYER_DEAD,
+            Location::Layer(i),
+            format!(
+                "layer {i} ({}) produces output {} that no live later \
+                 layer consumes; it burns energy in every plan for nothing",
+                l.name, l.output_shape
+            ),
+        );
     }
 }
 
 fn check_shape_intervals(
     ctx: &DataflowContext<'_>,
-    config: &LintConfig,
     facts: &DataflowFacts,
     report: &mut LintReport,
 ) {
-    if !config.enabled("PL503") {
-        return;
-    }
     for (i, lf) in facts.layers.iter().enumerate() {
         let declared = ctx.graph.layers()[i].output_shape.numel();
         if !lf.out_elems.contains(declared) {
@@ -163,16 +155,7 @@ fn check_shape_intervals(
     }
 }
 
-fn check_plan_points(
-    _ctx: &DataflowContext<'_>,
-    config: &LintConfig,
-    facts: &DataflowFacts,
-    plan: &InstrumentationPlan,
-    report: &mut LintReport,
-) {
-    if !config.enabled("PL504") {
-        return;
-    }
+fn check_plan_points(facts: &DataflowFacts, plan: &InstrumentationPlan, report: &mut LintReport) {
     for (step, p) in plan.points().iter().enumerate() {
         // Out-of-range points are PL205's finding, not ours.
         if let Some(lf) = facts.layers.get(p.layer) {
@@ -194,74 +177,65 @@ fn check_plan_points(
 
 fn check_energy(
     ctx: &DataflowContext<'_>,
-    config: &LintConfig,
     platform: &Platform,
     envelopes: &[LayerEnvelope],
     report: &mut LintReport,
 ) {
     let (e_lo, e_hi) = graph_energy_interval(envelopes);
 
-    if config.enabled("PL505") {
-        if let Some(claim) = ctx.claim_images_per_joule {
-            // Images per joule is antitone in energy: the envelope inverts.
-            let ee_lo = ctx.batch as f64 / e_hi;
-            let ee_hi = ctx.batch as f64 / e_lo;
-            if !(claim.is_finite() && claim >= ee_lo && claim <= ee_hi) {
-                report.push(
-                    &rules::DF_EE_CLAIM_IMPOSSIBLE,
-                    Location::Model,
-                    format!(
-                        "claimed {claim:.4} images/J is outside the statically \
-                         derivable envelope [{ee_lo:.4}, {ee_hi:.4}] for batch \
-                         {} on {}",
-                        ctx.batch,
-                        platform.name()
-                    ),
-                );
-            }
+    if let Some(claim) = ctx.claim_images_per_joule {
+        // Images per joule is antitone in energy: the envelope inverts.
+        let ee_lo = ctx.batch as f64 / e_hi;
+        let ee_hi = ctx.batch as f64 / e_lo;
+        if !(claim.is_finite() && claim >= ee_lo && claim <= ee_hi) {
+            report.push(
+                &rules::DF_EE_CLAIM_IMPOSSIBLE,
+                Location::Model,
+                format!(
+                    "claimed {claim:.4} images/J is outside the statically \
+                     derivable envelope [{ee_lo:.4}, {ee_hi:.4}] for batch \
+                     {} on {}",
+                    ctx.batch,
+                    platform.name()
+                ),
+            );
         }
     }
 
-    if config.enabled("PL506") {
-        if let Some(plan) = ctx.plan {
-            let first = plan.points()[0].layer.min(ctx.graph.num_layers());
-            // Before the first point both domains run at their boot (max)
-            // levels — the same convention `evaluate_plan` uses.
-            let boot_gpu = platform.gpu_levels() - 1;
-            let boot_cpu = platform.cpu_levels() - 1;
-            let boot_energy: f64 = ctx.graph.layers()[..first]
-                .iter()
-                .map(|l| platform.layer_energy(l, ctx.batch, boot_gpu, boot_cpu))
-                .sum();
-            let budget = config.boot_energy_fraction * e_lo;
-            if boot_energy > budget {
-                report.push(
-                    &rules::DF_BOOT_BUDGET,
-                    Location::PlanStep(0),
-                    format!(
-                        "{first} layer(s) before the first instrumentation \
-                         point spend {boot_energy:.4} J at boot frequencies, \
-                         exceeding the budget of {budget:.4} J ({:.0}% of the \
-                         best-case total {e_lo:.4} J)",
-                        config.boot_energy_fraction * 100.0
-                    ),
-                );
-            }
+    if let Some(plan) = ctx.plan {
+        let first = plan.points()[0].layer.min(ctx.graph.num_layers());
+        // Before the first point both domains run at their boot (max)
+        // levels — the same convention `evaluate_plan` uses.
+        let boot_gpu = platform.gpu_levels() - 1;
+        let boot_cpu = platform.cpu_levels() - 1;
+        let boot_energy: f64 = ctx.graph.layers()[..first]
+            .iter()
+            .map(|l| platform.layer_energy(l, ctx.batch, boot_gpu, boot_cpu))
+            .sum();
+        let budget = BOOT_ENERGY_FRACTION * e_lo;
+        if boot_energy > budget {
+            report.push(
+                &rules::DF_BOOT_BUDGET,
+                Location::PlanStep(0),
+                format!(
+                    "{first} layer(s) before the first instrumentation \
+                     point spend {boot_energy:.4} J at boot frequencies, \
+                     exceeding the budget of {budget:.4} J ({:.0}% of the \
+                     best-case total {e_lo:.4} J)",
+                    BOOT_ENERGY_FRACTION * 100.0
+                ),
+            );
         }
     }
 }
 
 fn check_activity(
     ctx: &DataflowContext<'_>,
-    config: &LintConfig,
     platform: &Platform,
     view: &PowerView,
     envelopes: &[LayerEnvelope],
     report: &mut LintReport,
 ) {
-    if !config.enabled("PL507") {
-        return;
-    }
     for (b, block) in view.blocks().iter().enumerate() {
         let range = block.start.min(ctx.graph.num_layers())..block.end.min(ctx.graph.num_layers());
         if range.len() < 2 {
@@ -281,7 +255,7 @@ fn check_activity(
             lo_max = lo_max.max(env.busy_util.0);
             hi_min = hi_min.min(env.busy_util.1);
         }
-        if compute_layers >= 2 && lo_max - hi_min > config.activity_margin {
+        if compute_layers >= 2 && lo_max - hi_min > ACTIVITY_MARGIN {
             report.push(
                 &rules::DF_ACTIVITY_INCONSISTENT,
                 Location::Block(b),
@@ -316,10 +290,9 @@ mod tests {
 
     #[test]
     fn zoo_graphs_have_no_dataflow_errors() {
-        let cfg = LintConfig::default();
         for (name, build) in zoo::all_models() {
             let g = build();
-            let r = check(&DataflowContext::new(&g), &cfg);
+            let r = check(&DataflowContext::new(&g));
             assert_eq!(r.num_errors(), 0, "{name}: {:?}", r.codes());
             // The only tolerated warnings are dead cost-only side chains.
             assert!(
@@ -333,7 +306,7 @@ mod tests {
     #[test]
     fn unreachable_layer_fires_pl501() {
         let g = broken_graph();
-        let r = check(&DataflowContext::new(&g), &LintConfig::default());
+        let r = check(&DataflowContext::new(&g));
         assert!(r.fired("PL501"));
         assert!(r.has_errors());
     }
@@ -361,7 +334,7 @@ mod tests {
         let dead = conv(1, 3, 7, input);
         let l2 = conv(2, 16, 32, l0.output_shape);
         let g = Graph::from_parts_unchecked("deadbranch", input, vec![l0, dead, l2], vec![]);
-        let r = check(&DataflowContext::new(&g), &LintConfig::default());
+        let r = check(&DataflowContext::new(&g));
         assert!(r.fired("PL502"));
         assert_eq!(r.num_errors(), 0, "PL502 is a warning");
     }
@@ -372,7 +345,7 @@ mod tests {
         let mut layers = g.layers().to_vec();
         layers[2].output_shape = TensorShape::chw(1, 1, 7);
         let g = Graph::from_parts_unchecked("corrupt", g.input_shape(), layers, vec![]);
-        let r = check(&DataflowContext::new(&g), &LintConfig::default());
+        let r = check(&DataflowContext::new(&g));
         assert!(r.fired("PL503"));
         assert!(r
             .diagnostics
@@ -398,7 +371,7 @@ mod tests {
         );
         let mut ctx = DataflowContext::new(&g);
         ctx.plan = Some(&plan);
-        let r = check(&ctx, &LintConfig::default());
+        let r = check(&ctx);
         assert!(r.fired("PL504"));
         assert!(r
             .diagnostics
@@ -425,14 +398,14 @@ mod tests {
         ctx.batch = batch;
 
         ctx.claim_images_per_joule = Some(batch as f64 / e_hi * 0.5); // below envelope
-        assert!(check(&ctx, &LintConfig::default()).fired("PL505"));
+        assert!(check(&ctx).fired("PL505"));
 
         ctx.claim_images_per_joule = Some(batch as f64 / e_lo * 2.0); // above envelope
-        assert!(check(&ctx, &LintConfig::default()).fired("PL505"));
+        assert!(check(&ctx).fired("PL505"));
 
         // The midpoint of the inverted envelope is always admissible.
         ctx.claim_images_per_joule = Some(0.5 * (batch as f64 / e_hi + batch as f64 / e_lo));
-        assert!(!check(&ctx, &LintConfig::default()).fired("PL505"));
+        assert!(!check(&ctx).fired("PL505"));
     }
 
     #[test]
@@ -451,8 +424,15 @@ mod tests {
         ctx.platform = Some(&agx);
         ctx.plan = Some(&late);
         ctx.batch = 8;
-        let r = check(&ctx, &LintConfig::default());
+        let r = check(&ctx);
         assert!(r.fired("PL506"));
+        assert!(
+            r.diagnostics
+                .iter()
+                .any(|d| d.message.contains("(10% of the best-case total")),
+            "{:?}",
+            r.diagnostics
+        );
 
         let from_zero = InstrumentationPlan::new(
             vec![InstrumentationPoint {
@@ -462,7 +442,7 @@ mod tests {
             0,
         );
         ctx.plan = Some(&from_zero);
-        assert!(!check(&ctx, &LintConfig::default()).fired("PL506"));
+        assert!(!check(&ctx).fired("PL506"));
     }
 
     #[test]
@@ -482,9 +462,9 @@ mod tests {
         ctx.batch = 8;
 
         // Lumping the whole net into one block mixes compute-bound convs
-        // with memory-bound tails: the envelopes are disjoint well past the
-        // default margin.
-        assert!(check(&ctx, &LintConfig::default()).fired("PL507"));
+        // with memory-bound tails: the envelopes are disjoint well past
+        // `ACTIVITY_MARGIN`.
+        assert!(check(&ctx).fired("PL507"));
 
         // Single-layer blocks carry no intra-block comparison — silent.
         let singletons = PowerView::from_blocks_unchecked(
@@ -497,15 +477,19 @@ mod tests {
             g.num_layers(),
         );
         ctx.view = Some(&singletons);
-        assert!(!check(&ctx, &LintConfig::default()).fired("PL507"));
+        assert!(!check(&ctx).fired("PL507"));
 
-        // An explicit wide margin waives the whole-graph block too.
-        ctx.view = Some(&view);
-        let lax = LintConfig {
-            activity_margin: 10.0,
-            ..LintConfig::default()
+        // Either side of the margin on agx: conv1 and its ReLU are 0.17
+        // apart (quiet), conv2 and its ReLU 0.27 apart (fires).
+        let block = |start, end| {
+            PowerView::from_blocks_unchecked(vec![PowerBlock { start, end }], g.num_layers())
         };
-        assert!(!check(&ctx, &lax).fired("PL507"));
+        let within = block(0, 2);
+        ctx.view = Some(&within);
+        assert!(!check(&ctx).fired("PL507"));
+        let beyond = block(3, 5);
+        ctx.view = Some(&beyond);
+        assert!(check(&ctx).fired("PL507"));
     }
 
     #[test]
@@ -513,17 +497,8 @@ mod tests {
         let g = broken_graph();
         let mut ctx = DataflowContext::new(&g);
         ctx.sweep_limit = 0;
-        let r = check(&ctx, &LintConfig::default());
+        let r = check(&ctx);
         assert_eq!(r.codes(), vec!["PL508"]);
         assert!(r.has_errors());
-    }
-
-    #[test]
-    fn disabled_rules_are_skipped() {
-        let g = broken_graph();
-        let mut cfg = LintConfig::default();
-        cfg.disabled.insert("PL501".to_string());
-        let r = check(&DataflowContext::new(&g), &cfg);
-        assert!(!r.fired("PL501"));
     }
 }

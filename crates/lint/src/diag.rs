@@ -212,31 +212,6 @@ impl LintReport {
         self.diagnostics.iter().any(|d| d.rule.code == code)
     }
 
-    /// Removes findings matched by any inline suppression pattern.
-    ///
-    /// Patterns, most to least specific:
-    /// `"PL503@resnet34/layer 7"` (one finding), `"PL503@resnet34"`
-    /// (a rule on one subject), `"PL503"` (a rule everywhere).
-    pub fn suppress(&mut self, patterns: &[String]) {
-        if patterns.is_empty() {
-            return;
-        }
-        let subject = self.subject.clone();
-        self.diagnostics.retain(|d| {
-            !patterns.iter().any(|p| {
-                let (code, scope) = match p.split_once('@') {
-                    Some((c, s)) => (c, Some(s)),
-                    None => (p.as_str(), None),
-                };
-                code == d.rule.code
-                    && match scope {
-                        None => true,
-                        Some(s) => s == subject || *s == format!("{subject}/{}", d.location),
-                    }
-            })
-        });
-    }
-
     /// Distinct rule codes that fired, in first-seen order.
     pub fn codes(&self) -> Vec<&'static str> {
         let mut out: Vec<&'static str> = Vec::new();
@@ -313,26 +288,6 @@ mod tests {
             a.fingerprint("m"),
             fingerprint("PL001", "m", &Location::Layer(3))
         );
-    }
-
-    #[test]
-    fn suppress_matches_code_subject_and_location_scopes() {
-        let mut r = LintReport::new("resnet34");
-        r.push(&rules::GRAPH_EMPTY, Location::Layer(3), "x".into());
-        r.push(&rules::GRAPH_EMPTY, Location::Layer(4), "x".into());
-        r.push(&rules::ZERO_FLOP_LAYER, Location::Layer(3), "x".into());
-        let mut scoped = r.clone();
-        scoped.suppress(&["PL001@resnet34/layer 3".to_string()]);
-        assert_eq!(scoped.diagnostics.len(), 2);
-        let mut by_subject = r.clone();
-        by_subject.suppress(&["PL001@resnet34".to_string()]);
-        assert_eq!(by_subject.diagnostics.len(), 1);
-        let mut other_subject = r.clone();
-        other_subject.suppress(&["PL001@alexnet".to_string()]);
-        assert_eq!(other_subject.diagnostics.len(), 3);
-        r.suppress(&["PL001".to_string()]);
-        assert_eq!(r.diagnostics.len(), 1);
-        assert!(r.fired("PL011"));
     }
 
     #[test]

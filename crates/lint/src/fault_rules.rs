@@ -12,7 +12,6 @@ use powerlens_platform::Platform;
 
 use crate::diag::{LintReport, Location};
 use crate::rules;
-use crate::LintConfig;
 
 /// Sigma above which the multiplicative-noise clamp (`[0.5, 1.5]`)
 /// saturates often enough to distort the configured distribution (`PL404`).
@@ -21,27 +20,20 @@ pub const MAX_REASONABLE_SIGMA: f64 = 0.5;
 /// Runs every fault rule over `plan`, appending findings to `report`. Pass
 /// the target platform to also check the level cap against its frequency
 /// table (`PL405`); without one, the cap check is skipped.
-pub fn check(
-    plan: &FaultPlan,
-    platform: Option<&Platform>,
-    config: &LintConfig,
-    report: &mut LintReport,
-) {
+pub fn check(plan: &FaultPlan, platform: Option<&Platform>, report: &mut LintReport) {
     let probabilities = [
         ("gpu switch-failure", plan.gpu_switch_fail_p),
         ("cpu switch-failure", plan.cpu_switch_fail_p),
         ("sensor dropout", plan.sensor_drop_p),
         ("power perturbation", plan.power_perturb_p),
     ];
-    if config.enabled(rules::FAULT_PROBABILITY_RANGE.code) {
-        for (what, p) in probabilities {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                report.push(
-                    &rules::FAULT_PROBABILITY_RANGE,
-                    Location::Model,
-                    format!("{what} probability {p} is outside [0, 1]"),
-                );
-            }
+    for (what, p) in probabilities {
+        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
+            report.push(
+                &rules::FAULT_PROBABILITY_RANGE,
+                Location::Model,
+                format!("{what} probability {p} is outside [0, 1]"),
+            );
         }
     }
 
@@ -51,19 +43,17 @@ pub fn check(
         ("sensor noise sigma", plan.sensor_noise_sigma),
         ("power perturbation sigma", plan.power_perturb_sigma),
     ];
-    if config.enabled(rules::FAULT_MAGNITUDE_INVALID.code) {
-        for (what, m) in magnitudes {
-            if !m.is_finite() || m < 0.0 {
-                report.push(
-                    &rules::FAULT_MAGNITUDE_INVALID,
-                    Location::Model,
-                    format!("{what} {m} must be finite and non-negative"),
-                );
-            }
+    for (what, m) in magnitudes {
+        if !m.is_finite() || m < 0.0 {
+            report.push(
+                &rules::FAULT_MAGNITUDE_INVALID,
+                Location::Model,
+                format!("{what} {m} must be finite and non-negative"),
+            );
         }
     }
 
-    if plan.max_retries > MAX_RETRY_BUDGET && config.enabled(rules::FAULT_RETRY_UNBOUNDED.code) {
+    if plan.max_retries > MAX_RETRY_BUDGET {
         report.push(
             &rules::FAULT_RETRY_UNBOUNDED,
             Location::Model,
@@ -74,53 +64,48 @@ pub fn check(
         );
     }
 
-    if config.enabled(rules::FAULT_SIGMA_EXCESSIVE.code) {
-        for (what, sigma) in [
-            ("sensor noise sigma", plan.sensor_noise_sigma),
-            ("power perturbation sigma", plan.power_perturb_sigma),
-        ] {
-            if sigma.is_finite() && sigma > MAX_REASONABLE_SIGMA {
-                report.push(
-                    &rules::FAULT_SIGMA_EXCESSIVE,
-                    Location::Model,
-                    format!(
-                        "{what} {sigma} saturates the [0.5, 1.5] clamp \
-                         (keep it at or below {MAX_REASONABLE_SIGMA})"
-                    ),
-                );
-            }
+    for (what, sigma) in [
+        ("sensor noise sigma", plan.sensor_noise_sigma),
+        ("power perturbation sigma", plan.power_perturb_sigma),
+    ] {
+        if sigma.is_finite() && sigma > MAX_REASONABLE_SIGMA {
+            report.push(
+                &rules::FAULT_SIGMA_EXCESSIVE,
+                Location::Model,
+                format!(
+                    "{what} {sigma} saturates the [0.5, 1.5] clamp \
+                     (keep it at or below {MAX_REASONABLE_SIGMA})"
+                ),
+            );
         }
     }
 
-    if config.enabled(rules::FAULT_PHASE_INVALID.code) {
-        // drift == -1 zeroes power for the rest of the run and anything
-        // below it makes energy negative; both break every EE metric
-        // downstream.
-        if !plan.phase_power_drift.is_finite() || plan.phase_power_drift <= -1.0 {
-            report.push(
-                &rules::FAULT_PHASE_INVALID,
-                Location::Model,
-                format!(
-                    "phase power drift {} must be finite and above -1 \
-                     (power stays positive)",
-                    plan.phase_power_drift
-                ),
-            );
-        }
-        if !plan.phase_at_s.is_finite() || plan.phase_at_s < 0.0 {
-            report.push(
-                &rules::FAULT_PHASE_INVALID,
-                Location::Model,
-                format!(
-                    "phase start time {} s must be finite and non-negative",
-                    plan.phase_at_s
-                ),
-            );
-        }
+    // drift == -1 zeroes power for the rest of the run and anything below
+    // it makes energy negative; both break every EE metric downstream.
+    if !plan.phase_power_drift.is_finite() || plan.phase_power_drift <= -1.0 {
+        report.push(
+            &rules::FAULT_PHASE_INVALID,
+            Location::Model,
+            format!(
+                "phase power drift {} must be finite and above -1 \
+                 (power stays positive)",
+                plan.phase_power_drift
+            ),
+        );
+    }
+    if !plan.phase_at_s.is_finite() || plan.phase_at_s < 0.0 {
+        report.push(
+            &rules::FAULT_PHASE_INVALID,
+            Location::Model,
+            format!(
+                "phase start time {} s must be finite and non-negative",
+                plan.phase_at_s
+            ),
+        );
     }
 
     if let (Some(cap), Some(p)) = (plan.gpu_level_cap, platform) {
-        if cap >= p.gpu_levels() - 1 && config.enabled(rules::FAULT_CAP_ABOVE_TABLE.code) {
+        if cap >= p.gpu_levels() - 1 {
             report.push(
                 &rules::FAULT_CAP_ABOVE_TABLE,
                 Location::Model,
@@ -140,7 +125,7 @@ mod tests {
     use crate::lint_fault_plan;
 
     fn lint(plan: &FaultPlan, platform: Option<&Platform>) -> LintReport {
-        lint_fault_plan(plan, platform, &LintConfig::default())
+        lint_fault_plan(plan, platform, &crate::LintConfig::default())
     }
 
     #[test]

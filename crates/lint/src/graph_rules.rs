@@ -5,25 +5,22 @@ use powerlens_dnn::{Graph, Layer, OpKind, PoolKind, TensorShape};
 
 use crate::diag::{LintReport, Location};
 use crate::rules;
-use crate::LintConfig;
 
 /// Relative tolerance for comparing cached against recomputed layer costs.
 const COST_REL_TOL: f64 = 1e-9;
 
 /// Runs every graph rule over `graph`, appending findings to `report`.
-pub fn check(graph: &Graph, config: &LintConfig, report: &mut LintReport) {
+pub fn check(graph: &Graph, report: &mut LintReport) {
     if graph.num_layers() == 0 {
-        if config.enabled(rules::GRAPH_EMPTY.code) {
-            report.push(
-                &rules::GRAPH_EMPTY,
-                Location::Model,
-                "graph contains no layers".to_string(),
-            );
-        }
+        report.push(
+            &rules::GRAPH_EMPTY,
+            Location::Model,
+            "graph contains no layers".to_string(),
+        );
         return; // every other rule assumes at least one layer
     }
 
-    check_skip_edges(graph, config, report);
+    check_skip_edges(graph, report);
 
     // Shapes any later layer may legally consume: the graph input, every
     // earlier output, and — for branch heads that re-read a token stream as
@@ -36,7 +33,7 @@ pub fn check(graph: &Graph, config: &LintConfig, report: &mut LintReport) {
     for (idx, layer) in graph.layers().iter().enumerate() {
         let loc = Location::Layer(idx);
 
-        if layer.id != idx && config.enabled(rules::LAYER_ID_ORDER.code) {
+        if layer.id != idx {
             report.push(
                 &rules::LAYER_ID_ORDER,
                 loc,
@@ -44,9 +41,7 @@ pub fn check(graph: &Graph, config: &LintConfig, report: &mut LintReport) {
             );
         }
 
-        if config.enabled(rules::SHAPE_CHAIN_BROKEN.code)
-            && !known_shapes.any_feeds(&layer.input_shape)
-        {
+        if !known_shapes.any_feeds(&layer.input_shape) {
             report.push(
                 &rules::SHAPE_CHAIN_BROKEN,
                 loc,
@@ -58,11 +53,9 @@ pub fn check(graph: &Graph, config: &LintConfig, report: &mut LintReport) {
         }
         known_shapes.insert(layer.output_shape);
 
-        let shapes_ok = check_op(layer, idx, config, report);
+        let shapes_ok = check_op(layer, idx, report);
 
-        if config.enabled(rules::ZERO_ELEMENT_ACTIVATION.code)
-            && (layer.input_shape.numel() == 0 || layer.output_shape.numel() == 0)
-        {
+        if layer.input_shape.numel() == 0 || layer.output_shape.numel() == 0 {
             report.push(
                 &rules::ZERO_ELEMENT_ACTIVATION,
                 loc,
@@ -74,10 +67,10 @@ pub fn check(graph: &Graph, config: &LintConfig, report: &mut LintReport) {
         }
 
         if shapes_ok {
-            check_cost_cache(layer, idx, config, report);
+            check_cost_cache(layer, idx, report);
         }
 
-        if config.enabled(rules::ZERO_FLOP_LAYER.code) && layer.flops() == 0.0 {
+        if layer.flops() == 0.0 {
             report.push(
                 &rules::ZERO_FLOP_LAYER,
                 loc,
@@ -101,13 +94,11 @@ pub(crate) fn consumable(known: &[TensorShape], input: TensorShape) -> bool {
 /// compatibility (`PL003`), and output-shape cache agreement (`PL004`).
 /// Returns `true` when the stored shapes are trustworthy enough for the
 /// cost-cache recompute.
-fn check_op(layer: &Layer, idx: usize, config: &LintConfig, report: &mut LintReport) -> bool {
+fn check_op(layer: &Layer, idx: usize, report: &mut LintReport) -> bool {
     let loc = Location::Layer(idx);
 
     if let Some(why) = degenerate_params(&layer.op) {
-        if config.enabled(rules::OP_DEGENERATE_PARAMS.code) {
-            report.push(&rules::OP_DEGENERATE_PARAMS, loc, why);
-        }
+        report.push(&rules::OP_DEGENERATE_PARAMS, loc, why);
         return false;
     }
 
@@ -116,33 +107,29 @@ fn check_op(layer: &Layer, idx: usize, config: &LintConfig, report: &mut LintRep
     let out = match (inferred, arity_clash) {
         (Some(out), None) => out,
         (_, arity_clash) => {
-            if config.enabled(rules::OP_SHAPE_INCOMPATIBLE.code) {
-                let why = arity_clash.unwrap_or_else(|| {
-                    format!(
-                        "{} cannot consume a {} input",
-                        layer.op.name(),
-                        layer.input_shape
-                    )
-                });
-                report.push(&rules::OP_SHAPE_INCOMPATIBLE, loc, why);
-            }
+            let why = arity_clash.unwrap_or_else(|| {
+                format!(
+                    "{} cannot consume a {} input",
+                    layer.op.name(),
+                    layer.input_shape
+                )
+            });
+            report.push(&rules::OP_SHAPE_INCOMPATIBLE, loc, why);
             return false;
         }
     };
     if out != layer.output_shape {
-        if config.enabled(rules::SHAPE_CACHE_MISMATCH.code) {
-            report.push(
-                &rules::SHAPE_CACHE_MISMATCH,
-                loc,
-                format!(
-                    "stored output shape {} but {} infers {} from input {}",
-                    layer.output_shape,
-                    layer.op.name(),
-                    out,
-                    layer.input_shape
-                ),
-            );
-        }
+        report.push(
+            &rules::SHAPE_CACHE_MISMATCH,
+            loc,
+            format!(
+                "stored output shape {} but {} infers {} from input {}",
+                layer.output_shape,
+                layer.op.name(),
+                out,
+                layer.input_shape
+            ),
+        );
         return false;
     }
     true
@@ -243,10 +230,7 @@ fn arity_mismatch(op: &OpKind, input: TensorShape) -> Option<String> {
 /// `PL009`: cached costs must match a recompute and be finite. Only called
 /// when the stored shapes passed `PL003`/`PL004`, so the recompute cannot
 /// panic.
-fn check_cost_cache(layer: &Layer, idx: usize, config: &LintConfig, report: &mut LintReport) {
-    if !config.enabled(rules::COST_CACHE_STALE.code) {
-        return;
-    }
+fn check_cost_cache(layer: &Layer, idx: usize, report: &mut LintReport) {
     let stale = |cached: f64, fresh: f64| -> bool {
         !cached.is_finite() || (cached - fresh).abs() > COST_REL_TOL * fresh.abs().max(1.0)
     };
@@ -276,33 +260,27 @@ fn check_cost_cache(layer: &Layer, idx: usize, config: &LintConfig, report: &mut
 
 /// `PL006`/`PL010`: skip edges must go forward to existing layers, and
 /// should land on a merge operator.
-fn check_skip_edges(graph: &Graph, config: &LintConfig, report: &mut LintReport) {
+fn check_skip_edges(graph: &Graph, report: &mut LintReport) {
     let n = graph.num_layers();
     for &(from, to) in graph.skip_edges() {
         let loc = Location::Edge(from, to);
         if from >= n || to >= n {
-            if config.enabled(rules::SKIP_EDGE_INVALID.code) {
-                report.push(
-                    &rules::SKIP_EDGE_INVALID,
-                    loc,
-                    format!("skip edge references a layer outside the graph (0..{n})"),
-                );
-            }
+            report.push(
+                &rules::SKIP_EDGE_INVALID,
+                loc,
+                format!("skip edge references a layer outside the graph (0..{n})"),
+            );
             continue;
         }
         if from >= to {
-            if config.enabled(rules::SKIP_EDGE_INVALID.code) {
-                report.push(
-                    &rules::SKIP_EDGE_INVALID,
-                    loc,
-                    "skip edge does not point forward (cycle or self-loop)".to_string(),
-                );
-            }
+            report.push(
+                &rules::SKIP_EDGE_INVALID,
+                loc,
+                "skip edge does not point forward (cycle or self-loop)".to_string(),
+            );
             continue;
         }
-        if config.enabled(rules::SKIP_TARGET_NOT_MERGE.code)
-            && !matches!(graph.layer(to).op, OpKind::Add | OpKind::Concat { .. })
-        {
+        if !matches!(graph.layer(to).op, OpKind::Add | OpKind::Concat { .. }) {
             report.push(
                 &rules::SKIP_TARGET_NOT_MERGE,
                 loc,
@@ -343,7 +321,7 @@ mod tests {
 
     fn lint(g: &Graph) -> LintReport {
         let mut r = LintReport::new(g.name());
-        check(g, &LintConfig::default(), &mut r);
+        check(g, &mut r);
         r
     }
 

@@ -11,7 +11,6 @@
 
 use crate::diag::{LintReport, Location};
 use crate::rules;
-use crate::LintConfig;
 
 /// One objection the importer raised against a manifest. Fatal variants
 /// (everything except [`ImportIssue::InertSparsity`]) correspond to
@@ -107,66 +106,42 @@ impl std::fmt::Display for ImportIssue {
     }
 }
 
-pub(crate) fn check(issues: &[ImportIssue], config: &LintConfig, report: &mut LintReport) {
+pub(crate) fn check(issues: &[ImportIssue], report: &mut LintReport) {
     for issue in issues {
         match issue {
-            ImportIssue::UnsupportedSchemaVersion { found, supported } => {
-                if config.enabled(rules::INGEST_SCHEMA_VERSION.code) {
-                    report.push(
-                        &rules::INGEST_SCHEMA_VERSION,
-                        Location::Model,
-                        format!(
-                            "manifest declares schema version {found}; this build reads \
-                             version {supported}"
-                        ),
-                    );
-                }
-            }
-            ImportIssue::UnknownOp { node, op } => {
-                if config.enabled(rules::INGEST_UNKNOWN_OP.code) {
-                    report.push(
-                        &rules::INGEST_UNKNOWN_OP,
-                        Location::Layer(*node),
-                        format!("unknown operator {op:?}"),
-                    );
-                }
-            }
-            ImportIssue::SparsityOutOfRange { node, value } => {
-                if config.enabled(rules::INGEST_SPARSITY_RANGE.code) {
-                    report.push(
-                        &rules::INGEST_SPARSITY_RANGE,
-                        Location::Layer(*node),
-                        format!("sparsity {value} is outside [0, 1]"),
-                    );
-                }
-            }
-            ImportIssue::ShapeInference { node, op, input } => {
-                if config.enabled(rules::INGEST_SHAPE_INFERENCE.code) {
-                    report.push(
-                        &rules::INGEST_SHAPE_INFERENCE,
-                        Location::Layer(*node),
-                        format!("operator {op} cannot consume shape {input}"),
-                    );
-                }
-            }
-            ImportIssue::SkipEdge { from, to, detail } => {
-                if config.enabled(rules::INGEST_SKIP_EDGE.code) {
-                    report.push(
-                        &rules::INGEST_SKIP_EDGE,
-                        Location::Edge(*from, *to),
-                        format!("invalid skip edge: {detail}"),
-                    );
-                }
-            }
-            ImportIssue::InertSparsity { node, op } => {
-                if config.enabled(rules::INGEST_INERT_SPARSITY.code) {
-                    report.push(
-                        &rules::INGEST_INERT_SPARSITY,
-                        Location::Layer(*node),
-                        format!("sparsity annotation on zero-FLOP operator {op} has no effect"),
-                    );
-                }
-            }
+            ImportIssue::UnsupportedSchemaVersion { found, supported } => report.push(
+                &rules::INGEST_SCHEMA_VERSION,
+                Location::Model,
+                format!(
+                    "manifest declares schema version {found}; this build reads \
+                     version {supported}"
+                ),
+            ),
+            ImportIssue::UnknownOp { node, op } => report.push(
+                &rules::INGEST_UNKNOWN_OP,
+                Location::Layer(*node),
+                format!("unknown operator {op:?}"),
+            ),
+            ImportIssue::SparsityOutOfRange { node, value } => report.push(
+                &rules::INGEST_SPARSITY_RANGE,
+                Location::Layer(*node),
+                format!("sparsity {value} is outside [0, 1]"),
+            ),
+            ImportIssue::ShapeInference { node, op, input } => report.push(
+                &rules::INGEST_SHAPE_INFERENCE,
+                Location::Layer(*node),
+                format!("operator {op} cannot consume shape {input}"),
+            ),
+            ImportIssue::SkipEdge { from, to, detail } => report.push(
+                &rules::INGEST_SKIP_EDGE,
+                Location::Edge(*from, *to),
+                format!("invalid skip edge: {detail}"),
+            ),
+            ImportIssue::InertSparsity { node, op } => report.push(
+                &rules::INGEST_INERT_SPARSITY,
+                Location::Layer(*node),
+                format!("sparsity annotation on zero-FLOP operator {op} has no effect"),
+            ),
         }
     }
 }
@@ -174,7 +149,7 @@ pub(crate) fn check(issues: &[ImportIssue], config: &LintConfig, report: &mut Li
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint_import;
+    use crate::{lint_import, LintConfig};
 
     #[test]
     fn every_issue_maps_to_its_rule() {
@@ -232,16 +207,5 @@ mod tests {
     fn clean_import_lints_clean() {
         let r = lint_import("m", &[], &LintConfig::default());
         assert!(r.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn disabled_rules_do_not_fire() {
-        let mut c = LintConfig::default();
-        c.disabled.insert("PL706".to_string());
-        let issues = [ImportIssue::InertSparsity {
-            node: 0,
-            op: "flatten".into(),
-        }];
-        assert!(lint_import("m", &issues, &c).diagnostics.is_empty());
     }
 }

@@ -32,9 +32,9 @@
 //!
 //! CI-grade infrastructure on top of the packs: per-rule metadata
 //! (category, since-version, help URIs — [`RuleInfo`]), stable diagnostic
-//! fingerprints, inline suppressions ([`LintConfig::suppressions`]), SARIF
-//! baseline ratcheting ([`baseline_fingerprints`] / [`new_findings`]), and
-//! lint-report caching content-addressed through `powerlens-store`.
+//! fingerprints, SARIF baseline ratcheting ([`baseline_fingerprints`] /
+//! [`new_findings`]), and lint-report caching content-addressed through
+//! `powerlens-store`.
 //!
 //! The catalog lives in `docs/LINTS.md`; gates run in the `lint` CLI
 //! subcommand, in debug builds of `core::pipeline` / `sim::engine`, and in
@@ -65,8 +65,6 @@ mod rules;
 mod store_rules;
 mod view_rules;
 
-use std::collections::BTreeSet;
-
 use powerlens_cluster::{DistanceCache, PowerView};
 use powerlens_dnn::Graph;
 use powerlens_faults::FaultPlan;
@@ -74,79 +72,43 @@ use powerlens_obs as obs;
 use powerlens_platform::{FreqLevel, InstrumentationPlan, Platform};
 
 pub use baseline::{baseline_fingerprints, new_findings, NewFinding, FINGERPRINT_KEY};
-pub use dataflow_rules::DataflowContext;
+pub use dataflow_rules::{DataflowContext, ACTIVITY_MARGIN, BOOT_ENERGY_FRACTION};
 pub use diag::{fingerprint, Diagnostic, LintReport, Location, Severity};
 pub use fault_rules::MAX_REASONABLE_SIGMA;
 pub use ingest_rules::ImportIssue;
 pub use output::{
     dedupe_for_render, render, report_from_value, report_to_value, to_json, to_sarif, Format,
 };
-pub use plan_rules::PlanContext;
+pub use plan_rules::{PlanContext, ORACLE_TOLERANCE};
 pub use rules::{all_rules, rule_by_code, Pack, RuleInfo, RULES_VERSION};
 pub use store_rules::{platform_signature, CachedPlanContext};
+pub use view_rules::MIN_BLOCK_LEN;
 
-/// Tunables of the analyzer; rule *logic* is fixed, thresholds are not.
+/// The analyzer's one setting: the `PL107` block budget, which mirrors the
+/// planner's own `PowerLensConfig::max_blocks`. Every other threshold is a
+/// constant beside the rule that reads it ([`MIN_BLOCK_LEN`],
+/// [`ORACLE_TOLERANCE`], [`BOOT_ENERGY_FRACTION`], [`ACTIVITY_MARGIN`]),
+/// and every rule always runs. Each entry point takes a config, so callers
+/// need not know which packs read it.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Blocks shorter than this trigger `PL106` (warning).
-    pub min_block_len: usize,
     /// Views with more blocks than this trigger `PL107` (info).
     pub max_blocks: usize,
-    /// `PL209` fires when a block's level differs from the oracle's by more
-    /// than this many frequency steps.
-    pub oracle_tolerance: usize,
-    /// `PL506` fires when boot-frequency energy before the first
-    /// instrumentation point exceeds this fraction of the best-case total.
-    pub boot_energy_fraction: f64,
-    /// `PL507` fires when a block's busy-utilization envelopes are disjoint
-    /// by more than this gap.
-    pub activity_margin: f64,
-    /// Rule codes to disable entirely (e.g. `{"PL011"}`). A set, so the
-    /// per-finding `enabled` check is O(log n) instead of a linear scan.
-    pub disabled: BTreeSet<String>,
-    /// Inline suppressions of individual findings: `"PL503"`,
-    /// `"PL503@resnet34"`, or `"PL503@resnet34/layer 7"`. Unlike `disabled`
-    /// (the rule never runs), a suppressed rule still runs and its findings
-    /// are dropped after the fact — scoped waivers, not dead switches.
-    pub suppressions: Vec<String>,
 }
 
 impl Default for LintConfig {
-    /// Thresholds matching the pipeline defaults (`PowerLensConfig`):
-    /// min block length 2, at most 8 blocks, oracle tolerance 2 levels,
-    /// 10% boot-energy budget, 0.25 activity-envelope margin.
+    /// At most 8 blocks, the pipeline default (`PowerLensConfig`).
     fn default() -> Self {
-        LintConfig {
-            min_block_len: 2,
-            max_blocks: 8,
-            oracle_tolerance: 2,
-            boot_energy_fraction: 0.10,
-            activity_margin: 0.25,
-            disabled: BTreeSet::new(),
-            suppressions: Vec::new(),
-        }
-    }
-}
-
-impl LintConfig {
-    /// `true` unless `code` is in the disabled set.
-    pub fn enabled(&self, code: &str) -> bool {
-        !self.disabled.contains(code)
-    }
-
-    /// Applies this config's inline suppressions to a finished report.
-    fn finish(&self, mut report: LintReport) -> LintReport {
-        report.suppress(&self.suppressions);
-        report
+        LintConfig { max_blocks: 8 }
     }
 }
 
 /// Runs the **graph pack** over a graph.
-pub fn lint_graph(graph: &Graph, config: &LintConfig) -> LintReport {
+pub fn lint_graph(graph: &Graph, _config: &LintConfig) -> LintReport {
     let _span = obs::span("lint.graph");
     let mut report = LintReport::new(graph.name());
-    graph_rules::check(graph, config, &mut report);
-    config.finish(report)
+    graph_rules::check(graph, &mut report);
+    report
 }
 
 /// Runs the **view pack** over a power view; pass the source graph to also
@@ -156,7 +118,7 @@ pub fn lint_view(view: &PowerView, graph: Option<&Graph>, config: &LintConfig) -
     let subject = graph.map_or_else(|| "power-view".to_string(), |g| g.name().to_string());
     let mut report = LintReport::new(subject);
     view_rules::check(view, graph, config, &mut report);
-    config.finish(report)
+    report
 }
 
 /// Runs the distance-cache shape rule (`PL108`, view pack) over a
@@ -170,25 +132,25 @@ pub fn lint_view(view: &PowerView, graph: Option<&Graph>, config: &LintConfig) -
 pub fn lint_distance_cache(
     cache: &DistanceCache,
     graph: Option<&Graph>,
-    config: &LintConfig,
+    _config: &LintConfig,
 ) -> LintReport {
     let _span = obs::span("lint.distance_cache");
     let subject = graph.map_or_else(|| "distance-cache".to_string(), |g| g.name().to_string());
     let mut report = LintReport::new(subject);
-    view_rules::check_distance_cache(cache, graph, config, &mut report);
-    config.finish(report)
+    view_rules::check_distance_cache(cache, graph, &mut report);
+    report
 }
 
 /// Runs the **plan pack** over a DVFS plan in its deployment context (target
 /// platform, and optionally the source view/graph and an oracle callback).
-pub fn lint_plan(ctx: &PlanContext<'_>, config: &LintConfig) -> LintReport {
+pub fn lint_plan(ctx: &PlanContext<'_>, _config: &LintConfig) -> LintReport {
     let _span = obs::span("lint.plan");
     let subject = ctx
         .graph
         .map_or_else(|| "dvfs-plan".to_string(), |g| g.name().to_string());
     let mut report = LintReport::new(subject);
-    plan_rules::check(ctx, config, &mut report);
-    config.finish(report)
+    plan_rules::check(ctx, &mut report);
+    report
 }
 
 /// Runs the **store pack** plus the plan pack over a plan deserialized from
@@ -200,7 +162,7 @@ pub fn lint_plan(ctx: &PlanContext<'_>, config: &LintConfig) -> LintReport {
 pub fn lint_cached_plan(ctx: &CachedPlanContext<'_>, config: &LintConfig) -> LintReport {
     let _span = obs::span("lint.store");
     let mut report = LintReport::new("cached-plan");
-    store_rules::check(ctx, config, &mut report);
+    store_rules::check(ctx, &mut report);
     report.merge(lint_plan(
         &PlanContext {
             plan: ctx.plan,
@@ -211,7 +173,7 @@ pub fn lint_cached_plan(ctx: &CachedPlanContext<'_>, config: &LintConfig) -> Lin
         },
         config,
     ));
-    config.finish(report)
+    report
 }
 
 /// Runs the **faults pack** over a fault-injection plan. Pass the target
@@ -221,29 +183,29 @@ pub fn lint_cached_plan(ctx: &CachedPlanContext<'_>, config: &LintConfig) -> Lin
 pub fn lint_fault_plan(
     plan: &FaultPlan,
     platform: Option<&Platform>,
-    config: &LintConfig,
+    _config: &LintConfig,
 ) -> LintReport {
     let _span = obs::span("lint.faults");
     let mut report = LintReport::new("fault-plan");
-    fault_rules::check(plan, platform, config, &mut report);
-    config.finish(report)
+    fault_rules::check(plan, platform, &mut report);
+    report
 }
 
 /// Runs the **dataflow pack**: fixpoint facts over the graph cross-checked
 /// against whatever companion artifacts the [`DataflowContext`] supplies.
-pub fn lint_dataflow(ctx: &DataflowContext<'_>, config: &LintConfig) -> LintReport {
+pub fn lint_dataflow(ctx: &DataflowContext<'_>, _config: &LintConfig) -> LintReport {
     let _span = obs::span("lint.dataflow");
-    config.finish(dataflow_rules::check(ctx, config))
+    dataflow_rules::check(ctx)
 }
 
 /// Runs the **ingest pack** (`PL7xx`) over the issues an importer raised
 /// against an external model manifest. `subject` is the manifest's model
 /// name (or file path when the name is unparseable).
-pub fn lint_import(subject: &str, issues: &[ImportIssue], config: &LintConfig) -> LintReport {
+pub fn lint_import(subject: &str, issues: &[ImportIssue], _config: &LintConfig) -> LintReport {
     let _span = obs::span("lint.ingest");
     let mut report = LintReport::new(subject);
-    ingest_rules::check(issues, config, &mut report);
-    config.finish(report)
+    ingest_rules::check(issues, &mut report);
+    report
 }
 
 /// Runs every artifact pack (graph, view, plan, dataflow) over a full
@@ -298,27 +260,6 @@ pub fn record_to_obs(report: &LintReport) {
 mod tests {
     use super::*;
     use powerlens_dnn::zoo;
-
-    #[test]
-    fn default_config_enables_everything() {
-        let c = LintConfig::default();
-        assert!(c.enabled("PL001"));
-        assert!(c.enabled("PL209"));
-    }
-
-    #[test]
-    fn disabled_rules_do_not_fire() {
-        let mut c = LintConfig::default();
-        c.disabled.insert("PL011".to_string());
-        let g = zoo::resnet34();
-        let r = lint_graph(&g, &c);
-        assert!(!r.fired("PL011"));
-        let r_on = lint_graph(&g, &LintConfig::default());
-        assert!(
-            r_on.fired("PL011"),
-            "resnet34 has zero-FLOP flatten/add-free layers"
-        );
-    }
 
     #[test]
     fn cached_plan_gate_catches_drift_and_schema() {
@@ -408,34 +349,5 @@ mod tests {
             let df = lint_dataflow(&DataflowContext::new(&g), &LintConfig::default());
             assert!(!df.has_errors(), "{name} dataflow: {:?}", df.diagnostics);
         }
-    }
-
-    #[test]
-    fn suppressions_drop_individual_findings() {
-        // GoogLeNet's nine shape-restoring branch pools are stable PL502
-        // anchors — plenty of findings to suppress selectively.
-        let g = zoo::googlenet();
-        let baseline = lint_dataflow(&DataflowContext::new(&g), &LintConfig::default());
-        let locs: Vec<String> = baseline
-            .diagnostics
-            .iter()
-            .filter(|d| d.rule.code == "PL502")
-            .map(|d| d.location.to_string())
-            .collect();
-        assert!(locs.len() > 1, "need several PL502 anchors, got {locs:?}");
-
-        let mut c = LintConfig::default();
-        c.suppressions.push(format!("PL502@googlenet/{}", locs[0]));
-        let scoped = lint_dataflow(&DataflowContext::new(&g), &c);
-        assert!(!scoped
-            .diagnostics
-            .iter()
-            .any(|d| d.rule.code == "PL502" && d.location.to_string() == locs[0]));
-        // Other anchors of the same rule survive a scoped suppression.
-        assert!(scoped.fired("PL502"));
-
-        let mut all = LintConfig::default();
-        all.suppressions.push("PL502".to_string());
-        assert!(!lint_dataflow(&DataflowContext::new(&g), &all).fired("PL502"));
     }
 }

@@ -7,7 +7,10 @@ use powerlens_platform::{FreqLevel, InstrumentationPlan, Platform};
 
 use crate::diag::{LintReport, Location};
 use crate::rules;
-use crate::LintConfig;
+
+/// `PL209` fires when a block's level differs from the oracle's by more
+/// than this many frequency steps.
+pub const ORACLE_TOLERANCE: usize = 2;
 
 /// Everything a plan is validated against: the target platform (mandatory —
 /// frequency levels are meaningless without a table), and optionally the
@@ -28,23 +31,21 @@ pub struct PlanContext<'a> {
 }
 
 /// Runs every plan rule, appending findings to `report`.
-pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport) {
+pub fn check(ctx: &PlanContext<'_>, report: &mut LintReport) {
     let points = ctx.plan.points();
     if points.is_empty() {
-        if config.enabled(rules::PLAN_EMPTY.code) {
-            report.push(
-                &rules::PLAN_EMPTY,
-                Location::Model,
-                "plan contains no instrumentation points".to_string(),
-            );
-        }
+        report.push(
+            &rules::PLAN_EMPTY,
+            Location::Model,
+            "plan contains no instrumentation points".to_string(),
+        );
         return; // the remaining rules assume at least one point
     }
 
     let gpu_levels = ctx.platform.gpu_levels();
     let cpu_levels = ctx.platform.cpu_levels();
 
-    if ctx.plan.cpu_level() >= cpu_levels && config.enabled(rules::PLAN_CPU_LEVEL_INVALID.code) {
+    if ctx.plan.cpu_level() >= cpu_levels {
         report.push(
             &rules::PLAN_CPU_LEVEL_INVALID,
             Location::Model,
@@ -59,7 +60,7 @@ pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport
 
     for (i, p) in points.iter().enumerate() {
         let loc = Location::PlanStep(i);
-        if p.gpu_level >= gpu_levels && config.enabled(rules::PLAN_GPU_LEVEL_INVALID.code) {
+        if p.gpu_level >= gpu_levels {
             report.push(
                 &rules::PLAN_GPU_LEVEL_INVALID,
                 loc,
@@ -73,7 +74,7 @@ pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport
         }
         if i > 0 {
             let prev = &points[i - 1];
-            if p.layer <= prev.layer && config.enabled(rules::PLAN_NOT_ASCENDING.code) {
+            if p.layer <= prev.layer {
                 report.push(
                     &rules::PLAN_NOT_ASCENDING,
                     loc,
@@ -83,7 +84,7 @@ pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport
                     ),
                 );
             }
-            if p.gpu_level == prev.gpu_level && config.enabled(rules::PLAN_NOOP_TRANSITION.code) {
+            if p.gpu_level == prev.gpu_level {
                 report.push(
                     &rules::PLAN_NOOP_TRANSITION,
                     loc,
@@ -95,7 +96,7 @@ pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport
             }
         }
         if let Some(g) = ctx.graph {
-            if p.layer >= g.num_layers() && config.enabled(rules::PLAN_POINT_BEYOND_GRAPH.code) {
+            if p.layer >= g.num_layers() {
                 report.push(
                     &rules::PLAN_POINT_BEYOND_GRAPH,
                     loc,
@@ -110,7 +111,7 @@ pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport
         }
     }
 
-    if points[0].layer != 0 && config.enabled(rules::PLAN_UNCONTROLLED_PREFIX.code) {
+    if points[0].layer != 0 {
         report.push(
             &rules::PLAN_UNCONTROLLED_PREFIX,
             Location::PlanStep(0),
@@ -122,35 +123,28 @@ pub fn check(ctx: &PlanContext<'_>, config: &LintConfig, report: &mut LintReport
     }
 
     if let Some(view) = ctx.view {
-        check_view_alignment(ctx, view, config, report);
+        check_view_alignment(ctx, view, report);
     }
 }
 
 /// `PL206`/`PL209`: one point per block, preset at the block's first layer,
 /// and (with an oracle) within tolerance of the exhaustive search.
-fn check_view_alignment(
-    ctx: &PlanContext<'_>,
-    view: &PowerView,
-    config: &LintConfig,
-    report: &mut LintReport,
-) {
+fn check_view_alignment(ctx: &PlanContext<'_>, view: &PowerView, report: &mut LintReport) {
     let points = ctx.plan.points();
     if points.len() != view.num_blocks() {
-        if config.enabled(rules::PLAN_VIEW_MISALIGNED.code) {
-            report.push(
-                &rules::PLAN_VIEW_MISALIGNED,
-                Location::Model,
-                format!(
-                    "plan has {} points but the view has {} blocks",
-                    points.len(),
-                    view.num_blocks()
-                ),
-            );
-        }
+        report.push(
+            &rules::PLAN_VIEW_MISALIGNED,
+            Location::Model,
+            format!(
+                "plan has {} points but the view has {} blocks",
+                points.len(),
+                view.num_blocks()
+            ),
+        );
         return; // pointwise comparison is meaningless
     }
     for (i, (p, b)) in points.iter().zip(view.blocks()).enumerate() {
-        if p.layer != b.start && config.enabled(rules::PLAN_VIEW_MISALIGNED.code) {
+        if p.layer != b.start {
             report.push(
                 &rules::PLAN_VIEW_MISALIGNED,
                 Location::PlanStep(i),
@@ -162,20 +156,18 @@ fn check_view_alignment(
             continue;
         }
         if let Some(oracle) = ctx.oracle {
-            if config.enabled(rules::PLAN_ORACLE_DIVERGENCE.code) {
-                let best = oracle(b.start, b.end);
-                let diff = p.gpu_level.abs_diff(best);
-                if diff > config.oracle_tolerance {
-                    report.push(
-                        &rules::PLAN_ORACLE_DIVERGENCE,
-                        Location::PlanStep(i),
-                        format!(
-                            "block {}..{} planned at level {} but the oracle picks {} \
-                             ({} levels apart, tolerance {})",
-                            b.start, b.end, p.gpu_level, best, diff, config.oracle_tolerance
-                        ),
-                    );
-                }
+            let best = oracle(b.start, b.end);
+            let diff = p.gpu_level.abs_diff(best);
+            if diff > ORACLE_TOLERANCE {
+                report.push(
+                    &rules::PLAN_ORACLE_DIVERGENCE,
+                    Location::PlanStep(i),
+                    format!(
+                        "block {}..{} planned at level {} but the oracle picks {} \
+                         ({} levels apart, tolerance {ORACLE_TOLERANCE})",
+                        b.start, b.end, p.gpu_level, best, diff
+                    ),
+                );
             }
         }
     }
@@ -193,7 +185,7 @@ mod tests {
 
     fn lint(ctx: &PlanContext<'_>) -> LintReport {
         let mut r = LintReport::new("t");
-        check(ctx, &LintConfig::default(), &mut r);
+        check(ctx, &mut r);
         r
     }
 
@@ -319,5 +311,12 @@ mod tests {
         let close = |_: usize, _: usize| 12usize;
         c.oracle = Some(&close);
         assert!(!lint(&c).fired("PL209"));
+        // The tolerance is two steps: two apart is quiet, three fires.
+        let two_apart = |_: usize, _: usize| 11usize;
+        c.oracle = Some(&two_apart);
+        assert!(!lint(&c).fired("PL209"));
+        let three_apart = |_: usize, _: usize| 10usize;
+        c.oracle = Some(&three_apart);
+        assert!(lint(&c).fired("PL209"));
     }
 }

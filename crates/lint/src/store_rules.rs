@@ -11,7 +11,6 @@ use powerlens_platform::{InstrumentationPlan, Platform};
 
 use crate::diag::{LintReport, Location};
 use crate::rules;
-use crate::LintConfig;
 
 /// Compact identity of a platform's frequency contract: the board name plus
 /// both table sizes. Two platforms with equal signatures interpret every
@@ -42,9 +41,9 @@ pub struct CachedPlanContext<'a> {
 }
 
 /// Runs every store rule, appending findings to `report`.
-pub fn check(ctx: &CachedPlanContext<'_>, config: &LintConfig, report: &mut LintReport) {
+pub fn check(ctx: &CachedPlanContext<'_>, report: &mut LintReport) {
     let current = platform_signature(ctx.platform);
-    if ctx.entry_platform != current && config.enabled(rules::STORE_PLATFORM_DRIFT.code) {
+    if ctx.entry_platform != current {
         report.push(
             &rules::STORE_PLATFORM_DRIFT,
             Location::Model,
@@ -54,8 +53,7 @@ pub fn check(ctx: &CachedPlanContext<'_>, config: &LintConfig, report: &mut Lint
             ),
         );
     }
-    if ctx.entry_schema != ctx.expected_schema && config.enabled(rules::STORE_SCHEMA_OUTDATED.code)
-    {
+    if ctx.entry_schema != ctx.expected_schema {
         report.push(
             &rules::STORE_SCHEMA_OUTDATED,
             Location::Model,

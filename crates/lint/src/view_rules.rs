@@ -9,6 +9,10 @@ use crate::diag::{LintReport, Location};
 use crate::rules;
 use crate::LintConfig;
 
+/// Blocks shorter than this many layers trigger `PL106` (warning): a
+/// one-layer block pays a DVFS switch for a single kernel.
+pub const MIN_BLOCK_LEN: usize = 2;
+
 /// Runs every view rule, appending findings to `report`. Coverage against
 /// the source graph (`PL104`) only runs when `graph` is provided.
 pub fn check(
@@ -18,13 +22,11 @@ pub fn check(
     report: &mut LintReport,
 ) {
     if view.num_blocks() == 0 {
-        if config.enabled(rules::VIEW_EMPTY.code) {
-            report.push(
-                &rules::VIEW_EMPTY,
-                Location::Model,
-                "power view contains no blocks".to_string(),
-            );
-        }
+        report.push(
+            &rules::VIEW_EMPTY,
+            Location::Model,
+            "power view contains no blocks".to_string(),
+        );
         return; // the remaining rules assume at least one block
     }
 
@@ -33,19 +35,17 @@ pub fn check(
     for (i, b) in view.blocks().iter().enumerate() {
         let loc = Location::Block(i);
         if b.is_empty() {
-            if config.enabled(rules::BLOCK_EMPTY.code) {
-                report.push(
-                    &rules::BLOCK_EMPTY,
-                    loc,
-                    format!("block spans no layers ({}..{})", b.start, b.end),
-                );
-            }
+            report.push(
+                &rules::BLOCK_EMPTY,
+                loc,
+                format!("block spans no layers ({}..{})", b.start, b.end),
+            );
             // A degenerate block makes the tiling check meaningless from
             // here on; re-anchor on its start.
             expected_start = b.start;
             continue;
         }
-        if b.start != expected_start && config.enabled(rules::VIEW_NOT_CONTIGUOUS.code) {
+        if b.start != expected_start {
             let kind = if b.start > expected_start {
                 "gap"
             } else {
@@ -60,14 +60,13 @@ pub fn check(
                 ),
             );
         }
-        if b.len() < config.min_block_len && config.enabled(rules::BLOCK_TOO_SHORT.code) {
+        if b.len() < MIN_BLOCK_LEN {
             report.push(
                 &rules::BLOCK_TOO_SHORT,
                 loc,
                 format!(
-                    "block spans {} layer(s), below the minimum of {}",
-                    b.len(),
-                    config.min_block_len
+                    "block spans {} layer(s), below the minimum of {MIN_BLOCK_LEN}",
+                    b.len()
                 ),
             );
         }
@@ -75,7 +74,7 @@ pub fn check(
         expected_start = b.end;
     }
 
-    if view.num_layers() != covered && config.enabled(rules::VIEW_COUNT_MISMATCH.code) {
+    if view.num_layers() != covered {
         report.push(
             &rules::VIEW_COUNT_MISMATCH,
             Location::Model,
@@ -87,7 +86,7 @@ pub fn check(
         );
     }
 
-    if view.num_blocks() > config.max_blocks && config.enabled(rules::VIEW_MANY_BLOCKS.code) {
+    if view.num_blocks() > config.max_blocks {
         report.push(
             &rules::VIEW_MANY_BLOCKS,
             Location::Model,
@@ -101,7 +100,7 @@ pub fn check(
 
     if let Some(g) = graph {
         let end = view.blocks().last().map_or(0, |b| b.end);
-        if end != g.num_layers() && config.enabled(rules::VIEW_COVERAGE.code) {
+        if end != g.num_layers() {
             report.push(
                 &rules::VIEW_COVERAGE,
                 Location::Model,
@@ -122,15 +121,7 @@ pub fn check(
 /// [`DistanceCache::build`] cannot produce a mismatched cache; this guards
 /// caches assembled from outside sources (deserializers,
 /// `from_parts_unchecked`) before they are re-thresholded into power views.
-pub fn check_distance_cache(
-    cache: &DistanceCache,
-    graph: Option<&Graph>,
-    config: &LintConfig,
-    report: &mut LintReport,
-) {
-    if !config.enabled(rules::DISTANCE_CACHE_SHAPE.code) {
-        return;
-    }
+pub fn check_distance_cache(cache: &DistanceCache, graph: Option<&Graph>, report: &mut LintReport) {
     let d = cache.distance();
     if d.rows() != d.cols() {
         report.push(
@@ -198,12 +189,11 @@ mod tests {
 
     #[test]
     fn built_distance_caches_lint_clean() {
-        let config = LintConfig::default();
         for (name, build) in zoo::all_models() {
             let g = build();
             let cache = DistanceCache::build(&g, &ClusterParams::default()).unwrap();
             let mut r = LintReport::new(name);
-            check_distance_cache(&cache, Some(&g), &config, &mut r);
+            check_distance_cache(&cache, Some(&g), &mut r);
             assert!(!r.has_errors(), "{name}: {:?}", r.diagnostics);
         }
     }
@@ -222,15 +212,9 @@ mod tests {
             good.distance().clone(),
         );
         let mut r = LintReport::new("t");
-        check_distance_cache(&bad, Some(&g), &LintConfig::default(), &mut r);
+        check_distance_cache(&bad, Some(&g), &mut r);
         assert!(r.fired("PL108"));
         assert_eq!(r.num_errors(), 3, "{:?}", r.diagnostics);
-        // Suppression works like every other rule.
-        let mut off = LintConfig::default();
-        off.disabled.insert("PL108".to_string());
-        let mut quiet = LintReport::new("t");
-        check_distance_cache(&bad, Some(&g), &off, &mut quiet);
-        assert!(quiet.diagnostics.is_empty());
     }
 
     #[test]
@@ -294,6 +278,8 @@ mod tests {
         let r = lint(&v, None);
         assert!(r.fired("PL106"));
         assert_eq!(r.num_errors(), 0);
+        let two_layers = PowerView::new(blocks(&[(0, 2), (2, 5)]));
+        assert!(!lint(&two_layers, None).fired("PL106"));
     }
 
     #[test]

@@ -74,12 +74,6 @@ pub struct Platform {
     /// End-to-end latency of a userspace DVFS command until the new
     /// frequency is fully in effect (seconds).
     dvfs_settle: f64,
-    /// Tensor-core-style throughput multiplier applied on top of the
-    /// baseline [`Platform::kernel_efficiency`] for attention-class
-    /// operators (dense GEMM pipelines that mixed-precision matrix units
-    /// accelerate). `1.0` — the value for every built-in board — is exactly
-    /// the pre-tensor-core model, bit for bit.
-    tensor_core_boost: f64,
 }
 
 impl Platform {
@@ -104,7 +98,6 @@ impl Platform {
             clock_floor: 0.08,
             dvfs_transition: 0.0005,
             dvfs_settle: 0.050,
-            tensor_core_boost: 1.0,
         }
     }
 
@@ -128,7 +121,6 @@ impl Platform {
             clock_floor: 0.06,
             dvfs_transition: 0.0005,
             dvfs_settle: 0.050,
-            tensor_core_boost: 1.0,
         }
     }
 
@@ -163,49 +155,6 @@ impl Platform {
             clock_floor: 0.08,
             dvfs_transition: 0.0005,
             dvfs_settle: 0.025,
-            tensor_core_boost: 1.0,
-        }
-    }
-
-    /// Crate-internal constructor used by [`crate::PlatformBuilder`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        name: &'static str,
-        gpu: FrequencyTable,
-        cpu: FrequencyTable,
-        gpu_power: PowerDomainModel,
-        cpu_power: PowerDomainModel,
-        mem_max_w: f64,
-        mem_idle_w: f64,
-        board_static_w: f64,
-        flops_per_cycle: f64,
-        mem_bw: f64,
-        launch_base: f64,
-        kernel_overhead: f64,
-        stall_activity: f64,
-        clock_floor: f64,
-        dvfs_transition: f64,
-        dvfs_settle: f64,
-        tensor_core_boost: f64,
-    ) -> Self {
-        Platform {
-            name,
-            gpu,
-            cpu,
-            gpu_power,
-            cpu_power,
-            mem_max_w,
-            mem_idle_w,
-            board_static_w,
-            flops_per_cycle,
-            mem_bw,
-            launch_base,
-            kernel_overhead,
-            stall_activity,
-            clock_floor,
-            dvfs_transition,
-            dvfs_settle,
-            tensor_core_boost,
         }
     }
 
@@ -273,19 +222,6 @@ impl Platform {
         }
     }
 
-    /// [`Platform::kernel_efficiency`] adjusted for this board's hardware:
-    /// attention-class operators (the dense GEMM pipelines that tensor-core
-    /// style matrix units accelerate) get the board's throughput multiplier.
-    /// With the default multiplier of `1.0` this is bit-identical to the
-    /// baseline table.
-    pub fn op_efficiency(&self, op: &OpKind) -> f64 {
-        let eff = Self::kernel_efficiency(op);
-        match *op {
-            OpKind::Attention { .. } => eff * self.tensor_core_boost,
-            _ => eff,
-        }
-    }
-
     /// Roofline timing of `layer` for a batch of `batch` samples at the given
     /// GPU/CPU levels.
     ///
@@ -299,7 +235,7 @@ impl Platform {
         gpu_level: FreqLevel,
         cpu_level: FreqLevel,
     ) -> LayerTiming {
-        let eff = self.op_efficiency(&layer.op);
+        let eff = Self::kernel_efficiency(&layer.op);
         // Sparsity-scaled activity: zero operands skip their
         // multiply-accumulates, so only the surviving density of the FLOP
         // volume exercises the pipelines. Dense layers (sparsity 0) multiply
@@ -471,7 +407,7 @@ impl Platform {
         layers
             .iter()
             .map(|layer| {
-                let eff = self.op_efficiency(&layer.op);
+                let eff = Self::kernel_efficiency(&layer.op);
                 // Same sparsity density as `layer_timing` — the envelope must
                 // bound exactly the quantities the simulator produces.
                 let density = (1.0 - layer.sparsity()).clamp(0.0, 1.0);
@@ -775,19 +711,6 @@ mod tests {
         assert_eq!(
             p.layer_envelope(&dense, 8, cmax),
             p.layer_envelope(&annotated, 8, cmax)
-        );
-    }
-
-    #[test]
-    fn default_op_efficiency_matches_kernel_efficiency() {
-        let p = Platform::agx();
-        let att = OpKind::Attention {
-            embed_dim: 256,
-            heads: 4,
-        };
-        assert_eq!(
-            p.op_efficiency(&att).to_bits(),
-            Platform::kernel_efficiency(&att).to_bits()
         );
     }
 

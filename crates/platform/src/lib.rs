@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 mod board;
-mod builder;
 mod dvfs;
 mod freq;
 mod plan;
@@ -44,7 +43,6 @@ mod power;
 mod sensor;
 
 pub use board::{LayerEnvelope, LayerTiming, Platform, ENVELOPE_SLOP};
-pub use builder::PlatformBuilder;
 pub use dvfs::{Domain, DvfsActuator, SwitchOutcome};
 pub use freq::{FreqLevel, FrequencyTable};
 pub use plan::{InstrumentationPlan, InstrumentationPoint};

@@ -29,16 +29,29 @@ use crate::proto::{
 /// the client.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Entries in the in-memory plan cache, and in the lint report cache
+/// beside it. [`PlanStore::new`] spreads them over 8 shards.
+const CACHE_CAPACITY: usize = 256;
+
+/// Tasks one `/compare` flow runs when the request does not say.
+const COMPARE_TASKS: usize = 3;
+
 /// Most tasks one `/compare` flow may run. The flow holds a task list of
 /// this length and simulates every task once per controller, so a request
 /// for more is refused before it can exhaust memory or hold a worker.
 const MAX_COMPARE_TASKS: usize = 64;
 
+/// Most images one `/compare` task may simulate. A flow's time and memory
+/// grow with its images, so a request for more is refused before it can
+/// exhaust memory or hold a worker. At this cap a densenet201 flow of
+/// [`MAX_COMPARE_TASKS`] tasks took 0.7–1.1 s and raised the daemon's peak
+/// RSS to 166 MB on a 2-vCPU VM; 4,096 images took 7 s and 1.28 GB.
+const MAX_COMPARE_IMAGES: usize = 512;
+
 /// Capacity and behaviour knobs for [`Server`].
 ///
 /// The defaults are sized for a development box: an ephemeral-capable
-/// port, one worker per core, a 64-deep queue, and a 256-plan in-memory
-/// cache over 8 shards.
+/// port, one worker per core, a 64-deep queue, and an in-memory cache.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Interface to bind (`127.0.0.1` by default).
@@ -51,11 +64,6 @@ pub struct ServeConfig {
     /// Bounded admission queue depth; connections beyond it are answered
     /// `429` immediately.
     pub queue_depth: usize,
-    /// Shards in the in-memory plan cache.
-    pub shards: usize,
-    /// Capacity (entries) of the in-memory plan cache, and of the lint
-    /// report cache beside it.
-    pub capacity: usize,
     /// Cache mode for the shared [`PlanStore`] and the lint cache.
     pub cache: CacheMode,
     /// Disk-tier directory when `cache` includes the disk tier.
@@ -66,8 +74,6 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Default images per comparison task.
     pub images: usize,
-    /// Default tasks per comparison flow.
-    pub tasks: usize,
     /// Trained prediction models; `None` plans with the exhaustive oracle.
     pub models: Option<TrainedModels>,
 }
@@ -79,14 +85,11 @@ impl Default for ServeConfig {
             port: 0,
             workers: 0,
             queue_depth: 64,
-            shards: 8,
-            capacity: 256,
             cache: CacheMode::Mem,
             cache_dir: None,
             platform: "agx".to_string(),
             batch: 8,
             images: 16,
-            tasks: 3,
             models: None,
         }
     }
@@ -148,7 +151,8 @@ impl Server {
     /// # Errors
     ///
     /// Fails when the address cannot be bound, the cache directory cannot
-    /// be created, or `cfg.platform` names an unknown platform.
+    /// be created, `cfg.platform` names an unknown platform, or `/compare`
+    /// would refuse `cfg.images`.
     pub fn bind(cfg: ServeConfig) -> io::Result<Server> {
         let default_platform = ops::platform_by_name(&cfg.platform).ok_or_else(|| {
             io::Error::new(
@@ -156,17 +160,14 @@ impl Server {
                 format!("unknown platform {:?}", cfg.platform),
             )
         })?;
+        compare_images(cfg.images)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("default {e}")))?;
         if !obs::enabled() {
             obs::init(obs::TraceMode::Json);
             obs::set_subscriber(Arc::new(obs::NullSubscriber));
         }
-        let store = PlanStore::with_shards(
-            cfg.cache,
-            cfg.capacity,
-            cfg.shards,
-            cfg.cache_dir.as_deref(),
-        )?;
-        let lint_cache = LintCache::open(cfg.cache, cfg.capacity, cfg.cache_dir.as_deref())?;
+        let store = PlanStore::new(cfg.cache, CACHE_CAPACITY, cfg.cache_dir.as_deref())?;
+        let lint_cache = LintCache::open(cfg.cache, CACHE_CAPACITY, cfg.cache_dir.as_deref())?;
         let listener = TcpListener::bind((cfg.addr.as_str(), cfg.port))?;
         Ok(Server {
             listener,
@@ -553,7 +554,7 @@ impl Server {
             Ok(b) => b,
             Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
         };
-        let tasks = req.tasks.unwrap_or(self.cfg.tasks);
+        let tasks = req.tasks.unwrap_or(COMPARE_TASKS);
         if tasks > MAX_COMPARE_TASKS {
             return json_response(
                 stream,
@@ -563,6 +564,10 @@ impl Server {
                 },
             );
         }
+        let images = match compare_images(req.images.unwrap_or(self.cfg.images)) {
+            Ok(n) => n,
+            Err(e) => return json_response(stream, 400, &ErrorResponse { error: e }),
+        };
         let pl = ops::make_planner(&platform, batch, self.cfg.models.clone());
         let pressured = self.under_pressure(shared);
         let (outcome, _, degraded) = match self.plan_via_ladder(
@@ -581,7 +586,7 @@ impl Server {
             &graph,
             &outcome.plan,
             batch,
-            req.images.unwrap_or(self.cfg.images),
+            images,
             tasks,
             None,
             req.hybrid.unwrap_or(false),
@@ -731,6 +736,18 @@ fn import_manifest(manifest: &serde::Value) -> Result<Graph, String> {
                 Err(format!("cannot import manifest: {}", findings.join("; ")))
             }
         }
+    }
+}
+
+/// Checks a `/compare` task's image count: zero simulates nothing, and
+/// more than [`MAX_COMPARE_IMAGES`] could exhaust the daemon's memory.
+fn compare_images(images: usize) -> Result<usize, String> {
+    match images {
+        0 => Err("`images` must be positive".to_string()),
+        n if n > MAX_COMPARE_IMAGES => Err(format!(
+            "`images` {n} exceeds the limit of {MAX_COMPARE_IMAGES}"
+        )),
+        n => Ok(n),
     }
 }
 

@@ -42,7 +42,6 @@ fn serves_concurrent_mixed_traffic_with_cache_reuse_and_clean_shutdown() {
         queue_depth: 64,
         batch: 4,
         images: 8,
-        tasks: 2,
         ..ServeConfig::default()
     });
 
@@ -247,6 +246,10 @@ fn deeply_nested_bodies_are_refused_without_killing_the_daemon() {
             "/compare",
             r#"{"model": "alexnet", "tasks": 1152921504606846976}"#,
         ),
+        ("/compare", r#"{"model": "alexnet", "images": 0}"#),
+        // One past the cap: a larger value would take the daemon down
+        // wherever the cap is missing, instead of failing this assertion.
+        ("/compare", r#"{"model": "alexnet", "images": 513}"#),
     ];
     for (path, body) in bodies {
         let (status, resp) = request(&addr, "POST", path, body).unwrap();
@@ -258,6 +261,19 @@ fn deeply_nested_bodies_are_refused_without_killing_the_daemon() {
     let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(status, 200);
     handle.join().unwrap();
+}
+
+#[test]
+fn bind_refuses_a_default_image_count_compare_would_refuse() {
+    for images in [0, 513] {
+        let refused = Server::bind(ServeConfig {
+            images,
+            ..ServeConfig::default()
+        })
+        .err()
+        .unwrap_or_else(|| panic!("bind accepted images = {images}"));
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    }
 }
 
 #[test]

@@ -21,11 +21,12 @@ use powerlens_platform::{Domain, FreqLevel, SwitchOutcome, Telemetry};
 
 use crate::{Controller, FreqRequest};
 
-/// Default consecutive-switch-failure threshold before falling back.
+/// Consecutive totally-failed DVFS requests within one task that trip the
+/// fallback.
 pub const DEFAULT_FAILURE_THRESHOLD: usize = 3;
 
-/// Default trailing window (seconds) that must contain at least one
-/// telemetry sample; an all-dropped window trips the fallback.
+/// Trailing window (seconds) that must contain at least one telemetry
+/// sample; an all-dropped window trips the fallback.
 pub const DEFAULT_STALE_WINDOW: f64 = 0.5;
 
 /// A controller wrapper that runs `primary` until the platform shows signs
@@ -34,10 +35,10 @@ pub const DEFAULT_STALE_WINDOW: f64 = 0.5;
 /// Trip conditions (checked before every layer and on every switch
 /// readback):
 ///
-/// * `max_switch_failures` *consecutive* totally-failed DVFS requests
-///   (a successful switch resets the streak), or
-/// * the trailing `stale_window` seconds of telemetry contain no samples
-///   at all (sensor dropout) once the run is older than the window.
+/// * [`DEFAULT_FAILURE_THRESHOLD`] *consecutive* totally-failed DVFS
+///   requests (a successful switch resets the streak), or
+/// * the trailing [`DEFAULT_STALE_WINDOW`] seconds of telemetry contain no
+///   samples at all (sensor dropout) once the run is older than the window.
 ///
 /// Each trip increments the `controller.fallbacks` obs counter. The wrapper
 /// re-arms on [`Controller::on_task_start`], restoring the primary for the
@@ -46,8 +47,6 @@ pub const DEFAULT_STALE_WINDOW: f64 = 0.5;
 pub struct Degraded<P, F> {
     primary: P,
     fallback: F,
-    max_switch_failures: usize,
-    stale_window: f64,
     consecutive_failures: usize,
     fallen_back: bool,
     fallbacks: usize,
@@ -55,44 +54,17 @@ pub struct Degraded<P, F> {
 }
 
 impl<P: Controller, F: Controller> Degraded<P, F> {
-    /// Wraps `primary` with `fallback` using the default thresholds.
+    /// Wraps `primary` with `fallback`.
     pub fn new(primary: P, fallback: F) -> Self {
         let name = format!("degraded({}->{})", primary.name(), fallback.name());
         Degraded {
             primary,
             fallback,
-            max_switch_failures: DEFAULT_FAILURE_THRESHOLD,
-            stale_window: DEFAULT_STALE_WINDOW,
             consecutive_failures: 0,
             fallen_back: false,
             fallbacks: 0,
             name,
         }
-    }
-
-    /// Sets the consecutive-failure count that trips the fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_failure_threshold(mut self, n: usize) -> Self {
-        assert!(n > 0, "failure threshold must be positive");
-        self.max_switch_failures = n;
-        self
-    }
-
-    /// Sets the telemetry staleness window in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is not positive and finite.
-    pub fn with_stale_window(mut self, window: f64) -> Self {
-        assert!(
-            window > 0.0 && window.is_finite(),
-            "stale window must be positive and finite"
-        );
-        self.stale_window = window;
-        self
     }
 
     /// Whether the wrapper is currently running the fallback.
@@ -147,8 +119,8 @@ impl<P: Controller, F: Controller> Controller for Degraded<P, F> {
         // dropped is already a full stale window of silence. `>` missed
         // that boundary (PR 9 audit) — the trip fired one sample late.
         if !self.fallen_back
-            && telemetry.now() >= self.stale_window
-            && telemetry.window_stats(self.stale_window).is_none()
+            && telemetry.now() >= DEFAULT_STALE_WINDOW
+            && telemetry.window_stats(DEFAULT_STALE_WINDOW).is_none()
         {
             self.trip();
         }
@@ -164,7 +136,7 @@ impl<P: Controller, F: Controller> Controller for Degraded<P, F> {
     fn on_switch_outcome(&mut self, domain: Domain, requested: FreqLevel, outcome: &SwitchOutcome) {
         if outcome.failed {
             self.consecutive_failures += 1;
-            if !self.fallen_back && self.consecutive_failures >= self.max_switch_failures {
+            if !self.fallen_back && self.consecutive_failures >= DEFAULT_FAILURE_THRESHOLD {
                 self.trip();
             }
         } else if outcome.switched {
@@ -235,8 +207,7 @@ mod tests {
 
     #[test]
     fn stale_telemetry_trips_the_fallback() {
-        let mut d = Degraded::new(StaticController::new(5, 3), StaticController::new(0, 0))
-            .with_stale_window(0.5);
+        let mut d = Degraded::new(StaticController::new(5, 3), StaticController::new(0, 0));
         let g = zoo::alexnet();
         let mut t = Telemetry::new();
         t.record(0.1, 10.0, 0.5, 0.5, 0.1, 5);
@@ -249,11 +220,10 @@ mod tests {
 
     #[test]
     fn gap_at_exactly_the_stale_window_boundary_trips() {
-        // A history that is exactly one stale_window of dropped samples is
+        // A history that is exactly one stale window of dropped samples is
         // a full window of silence and must trip immediately, not one
         // sample later (the `>` vs `>=` off-by-one pinned by PR 9).
-        let mut d = Degraded::new(StaticController::new(5, 3), StaticController::new(0, 0))
-            .with_stale_window(0.5);
+        let mut d = Degraded::new(StaticController::new(5, 3), StaticController::new(0, 0));
         let g = zoo::alexnet();
         let mut t = Telemetry::new();
         t.record_gap(0.5);
@@ -264,8 +234,7 @@ mod tests {
 
     #[test]
     fn run_younger_than_the_window_never_trips_on_staleness() {
-        let mut d = Degraded::new(StaticController::new(5, 3), StaticController::new(0, 0))
-            .with_stale_window(0.5);
+        let mut d = Degraded::new(StaticController::new(5, 3), StaticController::new(0, 0));
         let g = zoo::alexnet();
         let mut t = Telemetry::new();
         t.record_gap(0.25);
@@ -302,8 +271,7 @@ mod tests {
 
     #[test]
     fn staleness_trip_rearms_and_does_not_retrip_on_fresh_samples() {
-        let mut d = Degraded::new(StaticController::new(9, 3), StaticController::new(1, 1))
-            .with_stale_window(0.5);
+        let mut d = Degraded::new(StaticController::new(9, 3), StaticController::new(1, 1));
         let g = zoo::alexnet();
         let mut t = Telemetry::new();
         t.record_gap(1.0);
@@ -330,12 +298,5 @@ mod tests {
         }
         let after = d.before_layer(&g, 0, &t, 0, 0);
         assert_eq!(after.gpu, Some(1), "fallback drives after the trip");
-    }
-
-    #[test]
-    #[should_panic(expected = "failure threshold must be positive")]
-    fn zero_threshold_rejected() {
-        let _ = Degraded::new(StaticController::new(0, 0), StaticController::new(0, 0))
-            .with_failure_threshold(0);
     }
 }

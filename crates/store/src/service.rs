@@ -138,9 +138,8 @@ impl PlanStore {
         Self::build(mode, MemTier::new(capacity), dir)
     }
 
-    /// Creates a store with an explicit memory-tier shard count (the
-    /// `powerlens-serve` daemon sizes this to its worker pool; see
-    /// `docs/SERVING.md`).
+    /// Creates a store with an explicit memory-tier shard count (tests use
+    /// one shard to make the eviction order exact).
     ///
     /// # Errors
     ///
@@ -333,7 +332,6 @@ impl PlanStore {
         let outcome = entry.to_outcome();
         let config = LintConfig {
             max_blocks: pl.config().max_blocks,
-            ..LintConfig::default()
         };
         let mut report = lint_cached_plan(
             &CachedPlanContext {

@@ -34,6 +34,22 @@ run cargo test -q -p powerlens-numeric --test kernel_tolerance
 # findings and regenerating the baseline only ever shrinks it.
 run cargo build -q --release -p powerlens-cli
 run ./target/release/powerlens-cli lint --all --baseline results/lint_baseline.sarif
+# Lint-identity gate: the ratchet above fails only on findings absent from
+# the baseline, so a change that silently drops findings passes it. The
+# full `lint --all` output on agx and tx2 must match results/lint_golden/
+# byte for byte (and exit 0). A change that means to move a finding
+# re-records the goldens and says why.
+echo "==> lint-identity gate (results/lint_golden)"
+lint_dir=$(mktemp -d)
+for platform in agx tx2; do
+    golden="lint_all_$platform.txt"
+    ./target/release/powerlens-cli lint --all --platform "$platform" > "$lint_dir/$golden"
+    diff -u "results/lint_golden/$golden" "$lint_dir/$golden" \
+        || { echo "lint-identity gate: $golden differs from its golden" >&2; \
+             rm -rf "$lint_dir"; exit 1; }
+done
+rm -rf "$lint_dir"
+echo "lint-identity gate: lint --all on agx and tx2 matches"
 # Cached-lint warm path: the second run against the same disk cache must be
 # served from it (hits > 0 on stderr).
 lint_cache_dir=$(mktemp -d)
